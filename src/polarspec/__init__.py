@@ -32,6 +32,7 @@ from .spectrum import (
     coset_spectrum,
     p_exact,
     p_min,
+    verify_average,
 )
 
 __version__ = "1.0.0"
@@ -76,4 +77,5 @@ __all__ = [
     "row_weight",
     "scl_decode",
     "transform_from_bits",
+    "verify_average",
 ]

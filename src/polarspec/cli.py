@@ -10,8 +10,7 @@ import argparse
 import os
 import sys
 
-from .construct import CodeConfig, construct_pw, construct_rm, load_info_set, min_row_weight
-from .dyadic import DyadicRational
+from .construct import CodeConfig, construct_pw, construct_rm, load_info_set
 from .oracle import BudgetError, ensemble_average_mc, exact_spectrum
 from .pretransform import (
     crc_transform,
@@ -21,7 +20,7 @@ from .pretransform import (
 )
 from .report import SpectrumReport, report_from_average, report_from_histogram
 from .scl import collect_low_weight
-from .spectrum import avg_spectrum
+from .spectrum import avg_spectrum, verify_average
 
 THREADS_ENV = "POLARSPEC_THREADS"
 
@@ -117,25 +116,6 @@ def _emit(report: SpectrumReport, args) -> int:
     return 0
 
 
-def _verify_average(config: CodeConfig, spec) -> list[str]:
-    problems = []
-    total = DyadicRational(0)
-    for d in range(1, config.n + 1):
-        total = total + spec.entries[d]
-    expected = DyadicRational((1 << config.k) - 1)
-    if total != expected:
-        problems.append(f"total mass {total} != 2^K - 1 = {expected}")
-    dmin = min_row_weight(config)
-    for d in range(1, dmin):
-        if spec.entries[d]:
-            problems.append(f"nonzero mass {spec.entries[d]} below minimum weight at d={d}")
-    if 1 not in config.info_set:
-        for d in range(1, config.n + 1, 2):
-            if spec.entries[d]:
-                problems.append(f"odd-weight mass {spec.entries[d]} at d={d} without row 1")
-    return problems
-
-
 def cmd_avg_spectrum(args, parser) -> int:
     config, label = _construct(args, parser)
     dmax = args.dmax if args.dmax is not None else config.n
@@ -145,7 +125,7 @@ def cmd_avg_spectrum(args, parser) -> int:
         parser.error("--verify needs the full spectrum: set --dmax to N (or omit it)")
     spec = avg_spectrum(config, dmax)
     if args.verify:
-        problems = _verify_average(config, spec)
+        problems = verify_average(spec)
         if problems:
             for p in problems:
                 print(f"verify: {p}", file=sys.stderr)

@@ -71,8 +71,10 @@ def _pw_vector(m: int, i: int) -> tuple[int, int, int, int]:
     return tuple(c)
 
 
-def _iroot4(x: int) -> int:
-    return math.isqrt(math.isqrt(x))
+@functools.cache
+def _root4_floors(prec: int) -> tuple[int, int, int]:
+    """floor(2^prec * 2^(r/4)) for r = 1, 2, 3."""
+    return tuple(math.isqrt(math.isqrt(1 << (4 * prec + r))) for r in (1, 2, 3))
 
 
 def _pw_cmp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -89,14 +91,13 @@ def _pw_cmp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     prec = 32
     while True:
         lo = hi = d[0] << prec
-        for r in (1, 2, 3):
-            t = _iroot4(1 << (4 * prec + r))  # floor(2^prec * 2^(r/4))
-            if d[r] >= 0:
-                lo += d[r] * t
-                hi += d[r] * (t + 1)
+        for dr, t in zip(d[1:], _root4_floors(prec)):
+            if dr >= 0:
+                lo += dr * t
+                hi += dr * (t + 1)
             else:
-                lo += d[r] * (t + 1)
-                hi += d[r] * t
+                lo += dr * (t + 1)
+                hi += dr * t
         if lo > 0:
             return 1
         if hi < 0:
@@ -104,15 +105,19 @@ def _pw_cmp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
         prec *= 2
 
 
-def _pw_rank(m: int) -> list[int]:
-    """All channel indices 1..2^m, most reliable (largest PW score) first."""
+@functools.cache
+def _pw_rank(m: int) -> tuple[int, ...]:
+    """All channel indices 1..2^m, most reliable (largest PW score) first.
+
+    Computed once per m: every construction of length 2^m reads it.
+    """
     vectors = {i: _pw_vector(m, i) for i in range(1, (1 << m) + 1)}
 
     def cmp(i: int, j: int) -> int:
         c = _pw_cmp(vectors[i], vectors[j])
         return c if c else (i > j) - (i < j)
 
-    return sorted(vectors, key=functools.cmp_to_key(cmp), reverse=True)
+    return tuple(sorted(vectors, key=functools.cmp_to_key(cmp), reverse=True))
 
 
 def construct_pw(n: int, k: int) -> CodeConfig:

@@ -157,6 +157,25 @@ def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
     return WeightHistogram("exhaustive-ensemble", n, means, samples=1 << f)
 
 
+def _sample_moments(samples: list[tuple]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per-weight sample means and unbiased sample variances of integer counts.
+
+    With s samples, sum T and sum of squares Q at a weight, the variance is
+    (s*Q - T^2) / (s*(s - 1)): exact integers, rounded once to a float, so
+    there is no cancellation. A single sample has variance 0.0.
+    """
+    s = len(samples)
+    totals = [sum(col) for col in zip(*samples)]
+    means = tuple(t / s for t in totals)
+    if s == 1:
+        return means, tuple(0.0 for _ in totals)
+    squares = [sum(c * c for c in col) for col in zip(*samples)]
+    variance = tuple(
+        (s * q - t * t) / (s * (s - 1)) for q, t in zip(squares, totals)
+    )
+    return means, variance
+
+
 def ensemble_average_mc(
     config: CodeConfig,
     master_seed: int,
@@ -200,22 +219,11 @@ def ensemble_average_mc(
     else:
         results = [one(s) for s in seeds]
 
-    total = [0] * (n + 1)
-    total_sq = [0] * (n + 1)
+    means, variance = _sample_moments([hist.counts for hist in results])
     sat = [False] * (n + 1)
     for hist in results:
-        for d, c in enumerate(hist.counts):
-            total[d] += c
-            total_sq[d] += c * c
         if hist.saturated is not None:
             sat = [a or b for a, b in zip(sat, hist.saturated)]
-    means = tuple(t / samples for t in total)
-    if samples > 1:
-        variance = tuple(
-            (sq - t * t / samples) / (samples - 1) for sq, t in zip(total_sq, total)
-        )
-    else:
-        variance = tuple(0.0 for _ in total)
     return WeightHistogram(
         "monte-carlo",
         n,

@@ -144,7 +144,9 @@ def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
             codewords = seg  # t = n-1: the fold reaches the root
 
     weights = codewords.sum(axis=1, dtype=np.int64)
-    assert np.array_equal(weights, metric), "metric/weight identity violated"
+    if not np.array_equal(weights, metric):
+        # the collector's completeness argument rests on this identity
+        raise RuntimeError("path metric differs from codeword weight")
     return v, msg, metric, codewords, prune_bound
 
 

@@ -1,4 +1,10 @@
-"""Exact weight-spectrum recursions for pre-transformed polar cosets.
+"""Exact weight-spectrum recursion for pre-transformed polar cosets.
+
+Coset i of length 2h has weight enumerator S(x^2), S that of coset i - h
+of length h, when i > h, and (1 + x^2)^h S(2x / (1 + x^2)), S that of
+coset i of length h, when i <= h. Both maps are linear, so the recursion
+carries one weighted sum of enumerators per branch: an ensemble average
+sums its information rows, a single coset has one unit weight.
 
 Everything here is integer or dyadic arithmetic; no floats are involved,
 so results are reproducible bit-for-bit at any block length.
@@ -6,6 +12,7 @@ so results are reproducible bit-for-bit at any block length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .construct import CodeConfig, min_row_weight
@@ -20,6 +27,7 @@ __all__ = [
     "p_min",
     "avg_spectrum",
     "avg_nmin",
+    "verify_average",
 ]
 
 
@@ -61,71 +69,52 @@ class AverageSpectrum:
         return max(self.entries)
 
 
-def _pascal_row(n: int) -> tuple[int, ...]:
-    # multiplicative build; exact big ints
-    row = [1] * (n + 1)
-    for t in range(1, n + 1):
-        row[t] = row[t - 1] * (n - t + 1) // t
-    return tuple(row)
+def _add_low_map(out: list[int], a: list[int], half: int) -> None:
+    """out += (1 + x^2)^half * A(2x / (1 + x^2)), truncated to len(out).
 
-
-def _tables(m: int, requests: dict[int, int]) -> dict[int, list[int]]:
-    """Coset count lists for several rows at level m, sharing lower levels.
-
-    requests maps row index -> maximum weight needed. Needs propagate
-    down: a low-half row reuses the same row one level below (weights
-    capped at the half length), an upper-half row reuses row i - N/2 at
-    half the weight. Level tables are built once, bottom-up.
+    Horner's rule in (1 + x^2), r <- r (1 + x^2) + a_k (2x)^k, adds only,
+    from the first to the last nonzero a_k; then r (1 + x^2)^(half - last).
     """
-    needs: list[dict[int, int]] = [dict() for _ in range(m + 1)]
-    for i, dm in requests.items():
-        needs[m][i] = max(needs[m].get(i, 0), min(dm, 1 << m))
-    for level in range(m, 1, -1):
-        half = 1 << (level - 1)
-        for i, dm in needs[level].items():
-            if i > half:
-                child, cdm = i - half, dm >> 1
-            else:
-                child, cdm = i, min(dm, half)
-            prev = needs[level - 1].get(child, 0)
-            needs[level - 1][child] = max(prev, cdm)
+    nonzero = [k for k, c in enumerate(a) if c]
+    if not nonzero:
+        return
+    first, last = nonzero[0], nonzero[-1]
+    d_max = len(out) - 1
+    r = [0] * (d_max + 1)
+    for k in range(first, last + 1):
+        top = min(2 * k - first, d_max) + 1  # r has no weight above 2k - first
+        r[first + 2 : top] = [x + y for x, y in zip(r[first + 2 : top], r[first:top])]
+        r[k] += a[k] << k
+    n = half - last
+    binom = [math.comb(n, t) for t in range(min(n, (d_max - first) >> 1) + 1)]
+    for d, c in enumerate(r):
+        if c:
+            length = min(len(binom), ((d_max - d) >> 1) + 1)
+            seg = slice(d, d + 2 * length - 1, 2)
+            out[seg] = [o + c * b for o, b in zip(out[seg], binom)]
 
-    tables: dict[int, list[int]] = {}
-    base = {1: [0, 2], 2: [0, 0, 1]}
-    for i, dm in needs[1].items():
-        lst = base[i][: dm + 1]
-        tables[i] = lst + [0] * (dm + 1 - len(lst))
-    for level in range(2, m + 1):
-        half = 1 << (level - 1)
-        binom_rows: dict[int, tuple[int, ...]] = {}
-        nxt: dict[int, list[int]] = {}
-        for i, dm in needs[level].items():
-            counts = [0] * (dm + 1)
-            if i > half:
-                sub = tables[i - half]
-                for d in range(2, dm + 1, 2):
-                    counts[d] = sub[d >> 1]
-            else:
-                sub = tables[i]
-                w = row_weight(level, i)
-                lim = min(dm, len(sub) - 1)
-                for d in range(w, dm + 1, 2):
-                    acc = 0
-                    for dp in range(w, min(d, lim) + 1, 2):
-                        a = sub[dp]
-                        if not a:
-                            continue
-                        n = half - dp
-                        row = binom_rows.get(n)
-                        if row is None:
-                            row = binom_rows[n] = _pascal_row(n)
-                        t = (d - dp) >> 1
-                        if t <= n:
-                            acc += (a << dp) * row[t]
-                    counts[d] = acc
-            nxt[i] = counts
-        tables = nxt
-    return tables
+
+def _weighted_sum(level: int, rows: list[tuple[int, int]], d_max: int) -> list[int]:
+    """Coefficients 0..d_max of the sum of w * S_i over (i, w) in rows.
+
+    S_i is the weight enumerator of coset i at length 2^level. Each half's
+    rows are summed in one call a level down and mapped once: O(N^2)
+    coefficient operations for a full spectrum.
+    """
+    out = [0] * (d_max + 1)
+    if min(1 << (i - 1).bit_count() for i, _ in rows) > d_max:
+        return out  # every row of the branch is heavier than d_max
+    if level == 0:
+        out[1] = rows[0][1]  # the single coset {1}
+        return out
+    half = 1 << (level - 1)
+    low = [(i, w) for i, w in rows if i <= half]
+    high = [(i - half, w) for i, w in rows if i > half]
+    if high:
+        out[::2] = _weighted_sum(level - 1, high, d_max >> 1)
+    if low:
+        _add_low_map(out, _weighted_sum(level - 1, low, min(d_max, half)), half)
+    return out
 
 
 def _check(m: int, i: int) -> None:
@@ -143,9 +132,7 @@ def coset_spectrum(m: int, i: int, d_max: int | None = None) -> CosetSpectrum:
         d_max = n
     if not 0 <= d_max <= n:
         raise ValueError(f"d_max {d_max} outside [0, {n}]")
-    counts = _tables(m, {i: d_max})[i]
-    counts += [0] * (d_max + 1 - len(counts))
-    return CosetSpectrum(m, i, tuple(counts))
+    return CosetSpectrum(m, i, tuple(_weighted_sum(m, [(i, 1)], d_max)))
 
 
 def p_exact(m: int, i: int, d: int) -> DyadicRational:
@@ -162,8 +149,7 @@ def p_min(m: int, i: int) -> DyadicRational:
     full spectrum so the two can cross-check each other.
     """
     _check(m, i)
-    e = 0
-    idx = i
+    e, idx = 0, i
     for level in range(m, 1, -1):
         half = 1 << (level - 1)
         if idx > half:
@@ -178,23 +164,18 @@ def avg_spectrum(config: CodeConfig, d_max: int | None = None) -> AverageSpectru
 
     Averages over all upper-triangular pre-transforms with unconstrained
     entries drawn uniformly: row j of the information set (ascending)
-    contributes 2^(K-j) times its coset probability.
+    contributes 2^(K-j) times its coset probability, the coset's counts
+    over 2^(N-i). Times 2^(N-K) that is the integer 2^(i-j), so a single
+    weighted recursion yields every numerator over 2^(N-K).
     """
     m, n, k = config.m, config.n, config.k
     if d_max is None:
         d_max = n
     if not 1 <= d_max <= n:
         raise ValueError(f"d_max {d_max} outside [1, {n}]")
-    tables = _tables(m, {i: d_max for i in config.info_set})
-    entries: dict[int, DyadicRational] = {}
-    for d in range(1, d_max + 1):
-        total = DyadicRational(0)
-        for j, i in enumerate(config.info_set, start=1):
-            counts = tables[i]
-            if d >= len(counts) or not counts[d]:
-                continue
-            total = total + DyadicRational(counts[d] << (k - j), n - i)
-        entries[d] = total
+    rows = [(i, 1 << (i - j)) for j, i in enumerate(config.info_set, start=1)]
+    counts = _weighted_sum(m, rows, d_max)
+    entries = {d: DyadicRational(counts[d], n - k) for d in range(1, d_max + 1)}
     return AverageSpectrum(config, entries)
 
 
@@ -206,10 +187,28 @@ def avg_nmin(config: CodeConfig) -> tuple[int, DyadicRational]:
     power-of-two attainment probability.
     """
     d_min = min_row_weight(config)
-    n, k = config.n, config.k
     total = DyadicRational(0)
     for j, i in enumerate(config.info_set, start=1):
-        if row_weight(config.m, i) != d_min:
-            continue
-        total = total + DyadicRational(1 << (k - j), 0) * p_min(config.m, i)
+        if row_weight(config.m, i) == d_min:
+            total = total + DyadicRational(1 << (config.k - j), 0) * p_min(config.m, i)
     return d_min, total
+
+
+def verify_average(spec: AverageSpectrum) -> list[str]:
+    """Invariant violations of a full spectrum (d_max = N); empty if none.
+
+    Checks total mass 2^K - 1, no mass below the minimum row weight, and
+    no mass at odd weights when row 1 is frozen.
+    """
+    config, entries, n = spec.config, spec.entries, spec.config.n
+    if spec.d_max != n:
+        raise ValueError(f"verify_average needs the full spectrum, d_max {spec.d_max} < {n}")
+    total = sum((entries[d] for d in range(1, n + 1)), DyadicRational(0))
+    expected = DyadicRational((1 << config.k) - 1)
+    problems = [f"total mass {total} != 2^K - 1 = {expected}"] if total != expected else []
+    problems += [f"nonzero mass {entries[d]} below minimum weight at d={d}"
+                 for d in range(1, min_row_weight(config)) if entries[d]]
+    odd = range(1, n + 1, 2) if 1 not in config.info_set else ()
+    problems += [f"odd-weight mass {entries[d]} at d={d} without row 1"
+                 for d in odd if entries[d]]
+    return problems

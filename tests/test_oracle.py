@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from polarspec.oracle import (
     ENSEMBLE_MAX_FREE,
     BudgetError,
     WeightHistogram,
+    _sample_moments,
     ensemble_average_exact,
     ensemble_average_mc,
     exact_spectrum,
@@ -211,6 +213,28 @@ class TestEnsembleAverageMC:
             ensemble_average_mc(cfg, 0, samples=2, method="scl")
         with pytest.raises(BudgetError):
             ensemble_average_mc(construct_pw(64, BRUTE_MAX_K + 1), 0, samples=1)
+
+
+class TestSampleMoments:
+    def test_identical_samples_have_zero_variance(self):
+        big = (1 << 22) + 12345
+        means, variance = _sample_moments([(0, 7, big, 3)] * 9)
+        assert means == (0.0, 7.0, float(big), 3.0)
+        assert variance == (0.0, 0.0, 0.0, 0.0)
+
+    def test_near_2_22_matches_exact_fraction(self):
+        base = 1 << 22
+        samples = [(base, base + 1, 5), (base + 1, base + 1, 6), (base, base, 5)]
+        means, variance = _sample_moments(samples)
+        s = len(samples)
+        for d, col in enumerate(zip(*samples)):
+            mean = Fraction(sum(col), s)
+            var = sum((Fraction(c) - mean) ** 2 for c in col) / (s - 1)
+            assert means[d] == float(mean)
+            assert variance[d] == float(var)
+
+    def test_single_sample(self):
+        assert _sample_moments([(1, 2)]) == ((1.0, 2.0), (0.0, 0.0))
 
 
 def test_weight_histogram_nonzero():

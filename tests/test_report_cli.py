@@ -6,6 +6,7 @@ import pytest
 
 from polarspec.cli import THREADS_ENV, main
 from polarspec.construct import CodeConfig, construct_pw, construct_rm
+from polarspec.dyadic import DyadicRational
 from polarspec.oracle import (
     ensemble_average_exact,
     ensemble_average_mc,
@@ -156,6 +157,26 @@ class TestAvgSpectrumCommand:
             "--construction", "rm", "--verify",
         )
         assert rc == 0 and err == ""
+
+    def test_verify_failure_exits_1(self, capsys, monkeypatch):
+        import polarspec.cli
+
+        def corrupted(config, d_max):
+            spec = avg_spectrum(config, d_max)
+            spec.entries[3] = DyadicRational(1)
+            return spec
+
+        monkeypatch.setattr(polarspec.cli, "avg_spectrum", corrupted)
+        rc, out, err = run(
+            capsys, "avg-spectrum", "--n", "16", "--k", "8",
+            "--construction", "rm", "--verify",
+        )
+        assert rc == 1 and out == ""
+        assert err.splitlines() == [
+            "verify: total mass 256 != 2^K - 1 = 255",
+            "verify: nonzero mass 1 below minimum weight at d=3",
+            "verify: odd-weight mass 1 at d=3 without row 1",
+        ]
 
     def test_verify_requires_full_range(self, capsys):
         err = run_usage_error(

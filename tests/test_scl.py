@@ -57,6 +57,15 @@ class TestSclDecode:
         paths, _ = scl_decode(cfg, random_transform(cfg, 1), 50)
         assert all(p.metric == p.weight for p in paths)
 
+    def test_metric_weight_mismatch_raises(self, monkeypatch):
+        # an explicit check, not an assert that python -O would strip
+        import polarspec.scl
+
+        monkeypatch.setattr(polarspec.scl.np, "array_equal", lambda a, b: False)
+        cfg = construct_pw(8, 4)
+        with pytest.raises(RuntimeError, match="path metric"):
+            scl_decode(cfg, identity_transform(cfg), 4)
+
     def test_paths_reencode(self):
         # u through the plain transform, message through the full chain
         cfg = construct_pw(16, 6)

@@ -1,3 +1,6 @@
+import os
+import random
+
 import pytest
 
 from polarspec.construct import CodeConfig, construct_pw, construct_rm, min_row_weight
@@ -9,7 +12,10 @@ from polarspec.spectrum import (
     coset_spectrum,
     p_exact,
     p_min,
+    verify_average,
 )
+
+FULL = os.environ.get("POLARSPEC_ACCEPT_FULL", "") == "1"
 
 
 class TestCosetSpectrum:
@@ -161,3 +167,72 @@ class TestAvgNmin:
 
     def test_pw_128_64(self):
         assert avg_nmin(construct_pw(128, 64)) == (8, DyadicRational(272))
+
+
+class TestVerifyAverage:
+    def test_clean_spectra_pass(self):
+        for cfg in (construct_rm(64, 32), construct_pw(64, 20), CodeConfig(3, (1, 5, 8))):
+            assert verify_average(avg_spectrum(cfg)) == []
+
+    def test_reports_each_violation(self):
+        cfg = construct_rm(16, 8)  # d_min 4, row 1 frozen
+        spec = avg_spectrum(cfg)
+        spec.entries[2] = DyadicRational(1)
+        spec.entries[3] = DyadicRational(3)
+        problems = verify_average(spec)
+        assert len(problems) == 4
+        assert problems[0].startswith("total mass ")
+        assert "below minimum weight at d=2" in problems[1]
+        assert "below minimum weight at d=3" in problems[2]
+        assert "odd-weight mass 3 at d=3 without row 1" in problems[3]
+
+    def test_needs_full_spectrum(self):
+        with pytest.raises(ValueError):
+            verify_average(avg_spectrum(construct_rm(16, 8), d_max=8))
+
+
+def _full_reference(n: int, build) -> None:
+    cfg = build(n, n // 2)
+    spec = avg_spectrum(cfg)
+    assert verify_average(spec) == []
+    d_min, val = avg_nmin(cfg)
+    assert spec[d_min] == val
+
+
+@pytest.mark.parametrize("build", [construct_rm, construct_pw])
+def test_full_spectrum_reference_2048(build):
+    _full_reference(2048, build)
+
+
+@pytest.mark.skipif(not FULL, reason="set POLARSPEC_ACCEPT_FULL=1 for N=4096")
+@pytest.mark.parametrize("build", [construct_rm, construct_pw])
+def test_full_spectrum_reference_4096(build):
+    _full_reference(4096, build)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_average_equals_row_by_row_coset_sum(seed):
+    # E[N_d] = sum over info rows j of 2^(K-j) * counts_i[d] / 2^(N-i),
+    # accumulated row by row from single-coset spectra
+    rng = random.Random(seed)
+    m = rng.randint(1, 7)
+    n = 1 << m
+    info = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+    cfg = CodeConfig(m, info)
+    expect = [DyadicRational(0)] * (n + 1)
+    for j, i in enumerate(info, start=1):
+        counts = coset_spectrum(m, i).counts
+        for d in range(1, n + 1):
+            expect[d] = expect[d] + DyadicRational(counts[d] << (cfg.k - j), n - i)
+    spec = avg_spectrum(cfg)
+    assert all(spec[d] == expect[d] for d in range(1, n + 1))
+
+
+@pytest.mark.parametrize("build", [construct_rm, construct_pw])
+def test_truncation_is_prefix_at_1024(build):
+    cfg = build(1024, 512)
+    full = avg_spectrum(cfg)
+    for d_max in (1, min_row_weight(cfg), 100, 511, 512, 513, 1023):
+        part = avg_spectrum(cfg, d_max=d_max)
+        assert part.d_max == d_max
+        assert all(part[d] == full[d] for d in range(1, d_max + 1))
