@@ -7,6 +7,7 @@ errors (argparse's convention).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -35,13 +36,24 @@ def _add_code_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _digits(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--round", type=int, default=6, metavar="DIGITS",
+    sub.add_argument("--round", type=_digits, default=6, metavar="DIGITS",
                      help="decimal digits in rendered values (default 6)")
     sub.add_argument("--out", help="write the report here instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polarspec",

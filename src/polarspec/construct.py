@@ -137,16 +137,12 @@ def construct_rm(n: int, k: int) -> CodeConfig:
     """Top-k channels by row weight of the polar transform.
 
     When k cuts through a weight class, the class boundary is resolved by
-    descending polarization weight, then by descending index.
+    descending polarization weight (the sort is stable over the PW order).
     """
     m = _m_of(n)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
-    pw_position = {i: pos for pos, i in enumerate(_pw_rank(m))}
-    order = sorted(
-        range(1, n + 1),
-        key=lambda i: (-row_weight(m, i), pw_position[i], -i),
-    )
+    order = sorted(_pw_rank(m), key=lambda i: -row_weight(m, i))
     return CodeConfig(m, tuple(sorted(order[:k])))
 
 

@@ -95,6 +95,20 @@ def row_weight(m: int, i: int) -> int:
     return 1 << (i - 1).bit_count()
 
 
+def polar_transform(bits: int, m: int) -> int:
+    """XOR of the rows of F_N that the packed ``bits`` select: bits * F_N.
+
+    F_N is its own inverse over GF(2), so applying this twice returns
+    ``bits``.
+    """
+    x = 0
+    while bits:
+        low = bits & -bits
+        x ^= row_bits(m, low.bit_length())
+        bits ^= low
+    return x
+
+
 def encode(u: Sequence[int] | BitRow, transform: "PreTransform", m: int) -> BitRow:
     """Encode u through the pre-transform and the polar transform.
 
@@ -122,10 +136,4 @@ def encode(u: Sequence[int] | BitRow, transform: "PreTransform", m: int) -> BitR
         if mask is None:
             raise ValueError(f"nonzero bit at frozen position {i}")
         v ^= (1 << (i - 1)) | mask
-
-    x = 0
-    while v:
-        j = (v & -v).bit_length()
-        v &= v - 1
-        x ^= row_bits(m, j)
-    return BitRow(x, n)
+    return BitRow(polar_transform(v, m), n)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .construct import CodeConfig
 from .dyadic import DyadicRational
-from .kernel import row_bits
+from .kernel import polar_transform, row_bits
 from .pretransform import (
     PreTransform,
     derive_seeds,
@@ -73,16 +73,7 @@ def _to_words(x: int, words: int) -> np.ndarray:
 
 def generator_rows(config: CodeConfig, transform: PreTransform) -> list[int]:
     """Rows of T·F for the information indices, packed LSB-first."""
-    out = []
-    for i in config.info_set:
-        v = transform.full_row(i)
-        x = 0
-        while v:
-            low = v & -v
-            x ^= row_bits(config.m, low.bit_length())
-            v ^= low
-        out.append(x)
-    return out
+    return [polar_transform(transform.full_row(i), config.m) for i in config.info_set]
 
 
 def _hist_of_block(block: np.ndarray, n: int) -> np.ndarray:

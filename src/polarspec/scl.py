@@ -7,9 +7,12 @@ Hamming weight of the path's re-encoded codeword. The final list is
 therefore the set of lowest-weight codewords of the code, complete up
 to the pruning boundary.
 
-All per-path state is kept in numpy arrays with the path as axis 0, so
-one decode is a sequence of vectorized stage updates rather than a loop
-over paths.
+Per-path state is three numpy arrays with the path as axis 0, each
+gathered once per information decision: LLRs and left-sibling codeword
+segments, (P, N-1) each with depth d in columns [N - 2(N>>d), N - (N>>d)),
+and the (P, N) pending dynamic-frozen values. scl_decode derives u
+(codeword * F_N) and the message (forward substitution through T) after
+decoding.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import CodeConfig
+from .kernel import polar_transform
 from .oracle import WeightHistogram
 from .pretransform import PreTransform
 
@@ -65,26 +69,21 @@ def _minsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
-    m, n, k = config.m, config.n, config.k
+    m, n = config.m, config.n
     info = set(config.info_set)
     trow = {
         i: np.array([transform.rows.get(i, 0) >> b & 1 for b in range(n)], dtype=np.uint8)
         for i in config.info_set
     }
+    cols = [None] + [slice(n - 2 * (n >> d), n - (n >> d)) for d in range(1, m + 1)]
 
     chan = np.ones((1, n), dtype=np.int32)
-    llr: list = [None] * (m + 1)  # llr[d]: (P, n >> d), cached per depth
-    left: list = [None] * (m + 1)  # left[d]: left-sibling codeword segment
-    for d in range(1, m + 1):
-        llr[d] = np.zeros((1, n >> d), dtype=np.int32)
-        left[d] = np.zeros((1, n >> d), dtype=np.uint8)
-    v = np.zeros((1, n), dtype=np.uint8)
-    msg = np.zeros((1, k), dtype=np.uint8)
+    llr = np.zeros((1, n - 1), dtype=np.int32)  # depth d in cols[d], cached
+    left = np.zeros((1, n - 1), dtype=np.uint8)  # left-sibling codeword segments
     acc = np.zeros((1, n), dtype=np.uint8)  # pending dynamic-frozen values
     metric = np.zeros(1, dtype=np.int64)
     prune_bound = math.inf
     codewords = None
-    msg_col = 0
     paths = 1
 
     for t in range(n):
@@ -92,14 +91,14 @@ def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
         start = 1 if t == 0 else m - ((t & -t).bit_length() - 1)
         for d in range(start, m + 1):
             half = n >> d
-            src = chan if d == 1 else llr[d - 1]
+            src = chan if d == 1 else llr[:, cols[d - 1]]
             a, b = src[:, :half], src[:, half:]
             if t >> (m - d) & 1:
-                sgn = 1 - 2 * left[d].astype(np.int32)
-                llr[d] = sgn * a + b
+                sgn = 1 - 2 * left[:, cols[d]].astype(np.int32)
+                llr[:, cols[d]] = sgn * a + b
             else:
-                llr[d] = _minsum(a, b)
-        dec_llr = llr[m][:, 0]
+                llr[:, cols[d]] = _minsum(a, b)
+        dec_llr = llr[:, -1]
         hard = (dec_llr < 0).astype(np.uint8)
         pen = np.abs(dec_llr)
 
@@ -117,29 +116,21 @@ def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
             parent = keep >> 1
             bit = (keep & 1).astype(np.uint8)
             metric = cand[keep]
-            for d in range(1, m + 1):
-                llr[d] = llr[d][parent]
-                left[d] = left[d][parent]
-            v, msg, acc = v[parent], msg[parent], acc[parent]
-            v[:, t] = bit
-            mbit = bit ^ acc[:, t]
-            msg[:, msg_col] = mbit
-            acc ^= mbit[:, None] * trow[t + 1]
-            msg_col += 1
+            llr, left, acc = llr[parent], left[parent], acc[parent]
+            acc ^= (bit ^ acc[:, t])[:, None] * trow[t + 1]
             paths = len(keep)
         else:
-            forced = acc[:, t]
-            metric = metric + np.where(forced == hard, 0, pen)
-            v[:, t] = forced
+            bit = acc[:, t]
+            metric = metric + np.where(bit == hard, 0, pen)
 
-        # fold the decided segment upward while it closes a right child
-        seg = v[:, t : t + 1]
+        # fold the decided bit upward while it closes a right child
+        seg = bit[:, None]
         d = m
         while d >= 1 and t >> (m - d) & 1:
-            seg = np.concatenate([left[d] ^ seg, seg], axis=1)
+            seg = np.concatenate([left[:, cols[d]] ^ seg, seg], axis=1)
             d -= 1
         if d >= 1:
-            left[d] = seg.copy() if seg.base is not None else seg
+            left[:, cols[d]] = seg
         else:
             codewords = seg  # t = n-1: the fold reaches the root
 
@@ -147,7 +138,7 @@ def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
     if not np.array_equal(weights, metric):
         # the collector's completeness argument rests on this identity
         raise RuntimeError("path metric differs from codeword weight")
-    return v, msg, metric, codewords, prune_bound
+    return metric, codewords, prune_bound
 
 
 def scl_decode(
@@ -162,16 +153,22 @@ def scl_decode(
     """
     if list_size < 1:
         raise ValueError("list_size must be >= 1")
-    v, msg, metric, codewords, prune_bound = _decode_arrays(config, transform, list_size)
+    metric, codewords, prune_bound = _decode_arrays(config, transform, list_size)
     out = []
-    for p in range(v.shape[0]):
-        cw = 0
-        for b in np.nonzero(codewords[p])[0]:
-            cw |= 1 << int(b)
+    for p in range(codewords.shape[0]):
+        cw = int.from_bytes(np.packbits(codewords[p], bitorder="little").tobytes(), "little")
+        u = polar_transform(cw, config.m)
+        # forward substitution through T: u_i = msg_i xor the pending acc_i
+        message, acc = [], 0
+        for i in config.info_set:
+            bit = (u ^ acc) >> (i - 1) & 1
+            message.append(bit)
+            if bit:
+                acc ^= transform.rows.get(i, 0)
         out.append(
             DecoderPath(
-                u=tuple(int(x) for x in v[p]),
-                message=tuple(int(x) for x in msg[p]),
+                u=tuple(u >> j & 1 for j in range(config.n)),
+                message=tuple(message),
                 metric=int(metric[p]),
                 codeword=cw,
             )
@@ -190,7 +187,7 @@ def collect_low_weight(
     """
     if list_size < 1:
         raise ValueError("list_size must be >= 1")
-    _, _, metric, _, prune_bound = _decode_arrays(config, transform, list_size)
+    metric, _, prune_bound = _decode_arrays(config, transform, list_size)
     n = config.n
     counts = np.bincount(metric, minlength=n + 1)[: n + 1]
     counts[0] = 0

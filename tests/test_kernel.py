@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from polarspec.kernel import BitRow, encode, kron_row, row_bits, row_weight
+from polarspec.kernel import BitRow, encode, kron_row, polar_transform, row_bits, row_weight
 from polarspec.construct import CodeConfig
 from polarspec.pretransform import identity_transform, transform_from_bits
 
@@ -113,3 +114,14 @@ def test_row_bits_matches_kron_row():
     for m in range(1, 7):
         for i in range(1, (1 << m) + 1):
             assert row_bits(m, i) == kron_row(m, i).bits
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(0, (1 << (1 << m)) - 1))
+    )
+)
+def test_polar_transform_is_an_involution(case):
+    # F_N is its own inverse over GF(2): u = codeword * F_N
+    m, x = case
+    assert polar_transform(polar_transform(x, m), m) == x

@@ -455,6 +455,14 @@ class TestOutputFlags:
             assert value == entry["value"]
             assert num == entry["num"] and int(exp2) == entry["exp2"]
 
+    @pytest.mark.parametrize("command", ["avg-spectrum", "exact-spectrum", "ensemble"])
+    def test_negative_round_is_a_usage_error(self, capsys, command):
+        argv = [command, "--n", "8", "--k", "4", "--construction", "pw", "--round", "-2"]
+        if command == "ensemble":
+            argv += ["--samples", "2"]
+        err = run_usage_error(capsys, *argv)
+        assert "--round" in err and ">= 0" in err
+
     def test_round_zero_renders_integers(self, capsys):
         rc, out, _ = run(
             capsys, "avg-spectrum", "--n", "16", "--k", "8",

@@ -66,10 +66,16 @@ class TestSclDecode:
         with pytest.raises(RuntimeError, match="path metric"):
             scl_decode(cfg, identity_transform(cfg), 4)
 
-    def test_paths_reencode(self):
-        # u through the plain transform, message through the full chain
-        cfg = construct_pw(16, 6)
-        t = random_transform(cfg, 9)
+    @pytest.mark.parametrize("kind", ["random", "pac", "crc"])
+    def test_paths_reencode(self, kind):
+        # u through the plain transform, message through the full chain;
+        # the PAC and CRC rows put pending values on frozen and information
+        # positions alike
+        if kind == "crc":
+            cfg, t = crc_transform(construct_pw(16, 10), 6, "10011")
+        else:
+            cfg = construct_pw(16, 6)
+            t = random_transform(cfg, 9) if kind == "random" else pac_transform(cfg, "1011")
         paths, _ = scl_decode(cfg, t, 64)
         for p in paths:
             x = 0
