@@ -7,6 +7,7 @@ two is the decisive cross-validation and is enforced by the test suite.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
 BRUTE_MAX_K = 28
 ENSEMBLE_MAX_FREE = 24
 ENSEMBLE_MAX_K = 20
+BLOCK_BITS = 20  # enumeration blocks hold up to 2^BLOCK_BITS codewords
 
 
 class BudgetError(RuntimeError):
@@ -97,7 +99,7 @@ def exact_spectrum(config: CodeConfig, transform: PreTransform) -> WeightHistogr
         raise BudgetError(f"K={k} exceeds brute-force budget {BRUTE_MAX_K}")
     n = config.n
     rows = generator_rows(config, transform)
-    split = min(k, 20)
+    split = min(k, BLOCK_BITS)
     block = _codeword_block(rows, n, split)
     hist = np.zeros(n + 1, dtype=np.int64)
     words = _wordcount(n)
@@ -114,9 +116,11 @@ def exact_spectrum(config: CodeConfig, transform: PreTransform) -> WeightHistogr
 def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
     """Exact E[N_d] by enumerating every transform in the ensemble.
 
-    Walks the 2^F free-entry assignments in Gray-code order so each step
-    flips a single T entry, which perturbs a single generator row; the
-    2^K codeword table is patched in place instead of rebuilt.
+    The first free entries are enumerated as a batch of codebooks, up to
+    2^BLOCK_BITS codewords in all. The remaining free-entry assignments
+    are walked in Gray-code order so each step flips a single T entry,
+    which perturbs a single generator row; every codebook in the batch is
+    patched in place instead of rebuilt.
     """
     f = free_entry_count(config)
     k = config.k
@@ -132,18 +136,27 @@ def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
     entry_of_bit: list[tuple[int, int]] = []
     for pos, i in enumerate(config.info_set):
         entry_of_bit.extend((pos, j) for j in range(i + 1, n + 1))
+    deltas = [_to_words(row_bits(m, col), words) for _, col in entry_of_bit]
+
+    def flip(batch: np.ndarray, b: int) -> None:
+        # XOR entry b's column into generator row pos of every codebook
+        pos = entry_of_bit[b][0]
+        view = batch.reshape(len(batch), -1, 1 << (pos + 1), words)
+        view[:, :, 1 << pos :, :] ^= deltas[b]
 
     rows = generator_rows(config, identity_transform(config))
-    block = _codeword_block(rows, n, k)  # identity-transform codebook
+    # batch[j] is the codebook with the first `low` free entries set to the bits of j
+    batch = _codeword_block(rows, n, k)[None]
+    low = max(0, min(f, BLOCK_BITS - k))
+    for b in range(low):
+        flipped = batch.copy()
+        flip(flipped, b)
+        batch = np.concatenate([batch, flipped])
     # int64 is safe: the grand total is 2^(F+K) <= 2^44 under the budget
-    hist = _hist_of_block(block, n)
-    deltas = [_to_words(row_bits(m, col), words) for _, col in entry_of_bit]
-    for step in range(1, 1 << f):
-        b = (step & -step).bit_length() - 1
-        pos, _ = entry_of_bit[b]
-        view = block.reshape(-1, 1 << (pos + 1), words)
-        view[:, 1 << pos :, :] ^= deltas[b]
-        hist += _hist_of_block(block, n)
+    hist = _hist_of_block(batch.reshape(-1, words), n)
+    for step in range(1, 1 << (f - low)):
+        flip(batch, low + (step & -step).bit_length() - 1)
+        hist += _hist_of_block(batch.reshape(-1, words), n)
     means = tuple(DyadicRational(int(c), f) for c in hist)
     return WeightHistogram("exhaustive-ensemble", n, means, samples=1 << f)
 
@@ -167,6 +180,11 @@ def _sample_moments(samples: list[tuple]) -> tuple[tuple[float, ...], tuple[floa
     return means, variance
 
 
+def _worker_count(threads: int, samples: int) -> int:
+    """Threads worth starting: no more than the samples or the CPUs."""
+    return max(1, min(threads, samples, os.cpu_count() or 1))
+
+
 def ensemble_average_mc(
     config: CodeConfig,
     master_seed: int,
@@ -178,9 +196,10 @@ def ensemble_average_mc(
     """Monte-Carlo E[N_d] estimate over `samples` random transforms.
 
     Per-sample seeds come from derive_seeds(master_seed, samples), so the
-    result is reproducible for any thread count. method "brute" measures
-    each sample exactly; "scl" uses the low-weight collector with the
-    given list size and propagates its saturation flags.
+    result is reproducible for any thread count; min(threads, samples,
+    CPUs) worker threads run. method "brute" measures each sample
+    exactly; "scl" uses the low-weight collector with the given list size
+    and propagates its saturation flags.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -202,10 +221,11 @@ def ensemble_average_mc(
             return exact_spectrum(config, t)
         return collect_low_weight(config, t, list_size)
 
-    if threads > 1:
+    workers = _worker_count(threads, samples)
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, seeds))
     else:
         results = [one(s) for s in seeds]

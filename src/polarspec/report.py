@@ -81,6 +81,8 @@ def _code_block(config: CodeConfig, construction: str) -> dict:
 
 
 def _fmt(x: float, digits: int) -> str:
+    if digits < 0:
+        raise ValueError("digits must be >= 0")
     return f"{x:.{digits}f}" if digits > 0 else str(round(x))
 
 

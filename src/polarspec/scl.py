@@ -7,12 +7,17 @@ Hamming weight of the path's re-encoded codeword. The final list is
 therefore the set of lowest-weight codewords of the code, complete up
 to the pruning boundary.
 
-Per-path state is three numpy arrays with the path as axis 0, each
-gathered once per information decision: LLRs and left-sibling codeword
-segments, (P, N-1) each with depth d in columns [N - 2(N>>d), N - (N>>d)),
-and the (P, N) pending dynamic-frozen values. scl_decode derives u
-(codeword * F_N) and the message (forward substitution through T) after
-decoding.
+Path state follows Tal and Vardy's lazy copy. LLRs and left-sibling
+codeword segments are held per depth d = 1..m as one (N>>d, S) array
+each, a column per stored path copy (so the f/g updates run over
+contiguous memory), plus a map from the current paths to those columns
+(None for the identity). An information decision only composes the maps
+with the survivors' parents; a depth is gathered when the f/g step or
+the fold reads it, and every write makes a fresh array. The pending
+dynamic-frozen values are bit-packed, (P, ceil(N/64)) uint64 words,
+gathered at each decision. Survivors are selected by counting metrics,
+not by sorting. scl_decode derives u (codeword * F_N) and the message
+(forward substitution through T) after decoding.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .construct import CodeConfig
 from .kernel import polar_transform
-from .oracle import WeightHistogram
+from .oracle import WeightHistogram, _to_words, _wordcount
 from .pretransform import PreTransform
 
 __all__ = [
@@ -65,74 +70,115 @@ def path_metric_update(decision: int, llr: float) -> float:
 
 
 def _minsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    # sign(a) sign(b) min(|a|, |b|)
+    return np.maximum(np.minimum(a, b), -np.maximum(a, b))
+
+
+def _select(cand: np.ndarray, list_size: int) -> tuple[np.ndarray, int]:
+    """Keep the list_size smallest candidates by counting, not sorting.
+
+    Returns the kept indices in ascending order, the same set a stable
+    argsort keeps: every candidate below the threshold metric plus the
+    first ties in index order. The second value is the smallest metric
+    discarded. Needs len(cand) > list_size and non-negative integers.
+    """
+    counts = np.bincount(cand)
+    cum = np.cumsum(counts)
+    thr = int(np.searchsorted(cum, list_size))  # first metric reaching list_size
+    need = list_size - (int(cum[thr - 1]) if thr else 0)
+    keep = cand < thr
+    keep[np.flatnonzero(cand == thr)[:need]] = True
+    if need < counts[thr]:
+        return np.flatnonzero(keep), thr
+    return np.flatnonzero(keep), thr + 1 + int(np.flatnonzero(counts[thr + 1 :])[0])
+
+
+def _gathered(arrays: list, maps: list, d: int) -> np.ndarray:
+    # copy depth d's columns to the current paths on first read
+    if maps[d] is not None:
+        arrays[d] = np.take(arrays[d], maps[d], axis=1)
+        maps[d] = None
+    return arrays[d]
 
 
 def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
     m, n = config.m, config.n
     info = set(config.info_set)
+    words = _wordcount(n)
     trow = {
-        i: np.array([transform.rows.get(i, 0) >> b & 1 for b in range(n)], dtype=np.uint8)
+        i: _to_words(transform.rows[i], words)
         for i in config.info_set
+        if transform.rows.get(i, 0)
     }
-    cols = [None] + [slice(n - 2 * (n >> d), n - (n >> d)) for d in range(1, m + 1)]
 
-    chan = np.ones((1, n), dtype=np.int32)
-    llr = np.zeros((1, n - 1), dtype=np.int32)  # depth d in cols[d], cached
-    left = np.zeros((1, n - 1), dtype=np.uint8)  # left-sibling codeword segments
-    acc = np.zeros((1, n), dtype=np.uint8)  # pending dynamic-frozen values
+    # an LLR at depth d has magnitude at most 2^d <= N
+    dtype = np.int16 if m < 15 else np.int32
+    chan = np.ones((n, 1), dtype=dtype)
+    # depth d = 1..m: (N>>d, S) arrays, a column per stored path copy, and
+    # a map from the current paths to the columns (None for the identity);
+    # a decision composes the maps, a read gathers the columns
+    llr = [None] + [np.zeros((n >> d, 1), dtype=dtype) for d in range(1, m + 1)]
+    left = [None] + [np.zeros((n >> d, 1), dtype=np.uint8) for d in range(1, m + 1)]
+    llr_map = [None] * (m + 1)
+    left_map = [None] * (m + 1)
+    acc = np.zeros((1, words), dtype=np.uint64)  # pending dynamic-frozen values, packed
     metric = np.zeros(1, dtype=np.int64)
     prune_bound = math.inf
     codewords = None
-    paths = 1
 
     for t in range(n):
         # depths above the lowest flipped address bit keep their cache
         start = 1 if t == 0 else m - ((t & -t).bit_length() - 1)
         for d in range(start, m + 1):
             half = n >> d
-            src = chan if d == 1 else llr[:, cols[d - 1]]
-            a, b = src[:, :half], src[:, half:]
+            src = chan if d == 1 else _gathered(llr, llr_map, d - 1)
+            a, b = src[:half], src[half:]
             if t >> (m - d) & 1:
-                sgn = 1 - 2 * left[:, cols[d]].astype(np.int32)
-                llr[:, cols[d]] = sgn * a + b
+                sgn = 1 - 2 * _gathered(left, left_map, d).astype(dtype)
+                llr[d] = sgn * a + b
             else:
-                llr[:, cols[d]] = _minsum(a, b)
-        dec_llr = llr[:, -1]
-        hard = (dec_llr < 0).astype(np.uint8)
-        pen = np.abs(dec_llr)
+                llr[d] = _minsum(a, b)
+            llr_map[d] = None
+        dec_llr = llr[m][0]
+        # cost[p, b] = path_metric_update(b, llr of path p)
+        cost = np.stack([np.maximum(-dec_llr, 0), np.maximum(dec_llr, 0)], axis=1)
+        pending = (acc[:, t >> 6] >> (t & 63) & 1).astype(np.uint8)
 
         if t + 1 in info:
             # candidate id 2p+bit keeps lexicographic order among ties
-            cand = np.empty(2 * paths, dtype=np.int64)
-            cand[0::2] = metric + np.where(hard == 0, 0, pen)
-            cand[1::2] = metric + np.where(hard == 1, 0, pen)
-            if 2 * paths <= list_size:
-                keep = np.arange(2 * paths)
+            cand = (metric[:, None] + cost).ravel()
+            if len(cand) <= list_size:
+                keep = np.arange(len(cand))
             else:
-                order = np.argsort(cand, kind="stable")
-                keep = np.sort(order[:list_size])
-                prune_bound = min(prune_bound, int(cand[order[list_size:]].min()))
+                keep, dropped = _select(cand, list_size)
+                prune_bound = min(prune_bound, dropped)
             parent = keep >> 1
             bit = (keep & 1).astype(np.uint8)
             metric = cand[keep]
-            llr, left, acc = llr[parent], left[parent], acc[parent]
-            acc ^= (bit ^ acc[:, t])[:, None] * trow[t + 1]
-            paths = len(keep)
+            # maps set at one decision are one object: compose each once
+            # (`unique` keeps the old maps alive, so their ids stay distinct)
+            unique = {id(x): x for x in llr_map + left_map if x is not None}
+            composed = {key: np.take(x, parent) for key, x in unique.items()}
+            for maps in (llr_map, left_map):
+                maps[1:] = [parent if x is None else composed[id(x)] for x in maps[1:]]
+            acc = np.take(acc, parent, axis=0)
+            if t + 1 in trow:
+                flip = (bit ^ np.take(pending, parent)).astype(np.uint64)
+                acc ^= np.multiply.outer(flip, trow[t + 1])
         else:
-            bit = acc[:, t]
-            metric = metric + np.where(bit == hard, 0, pen)
+            bit = pending
+            metric = metric + np.where(bit == 1, cost[:, 1], cost[:, 0])
 
         # fold the decided bit upward while it closes a right child
-        seg = bit[:, None]
+        seg = bit[None, :]
         d = m
         while d >= 1 and t >> (m - d) & 1:
-            seg = np.concatenate([left[:, cols[d]] ^ seg, seg], axis=1)
+            seg = np.concatenate([_gathered(left, left_map, d) ^ seg, seg])
             d -= 1
         if d >= 1:
-            left[:, cols[d]] = seg
+            left[d], left_map[d] = seg, None
         else:
-            codewords = seg  # t = n-1: the fold reaches the root
+            codewords = seg.T  # t = n-1: the fold reaches the root
 
     weights = codewords.sum(axis=1, dtype=np.int64)
     if not np.array_equal(weights, metric):

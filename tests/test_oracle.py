@@ -7,12 +7,14 @@ import pytest
 from polarspec.construct import CodeConfig, construct_pw, construct_rm, min_row_weight
 from polarspec.dyadic import DyadicRational
 from polarspec.kernel import encode
+import polarspec.oracle
 from polarspec.oracle import (
     BRUTE_MAX_K,
     ENSEMBLE_MAX_FREE,
     BudgetError,
     WeightHistogram,
     _sample_moments,
+    _worker_count,
     ensemble_average_exact,
     ensemble_average_mc,
     exact_spectrum,
@@ -145,6 +147,27 @@ class TestEnsembleAverageExact:
             assert all(h.counts[d] == s[d] for d in range(1, cfg.n + 1)), cfg
             assert h.counts[0] == DyadicRational(1)
 
+    # N <= 16, K = 1..4, F = 0..12: depending on the block size the leading
+    # batch spans none, some or all of the free entries
+    BATCH_CASES = [
+        CodeConfig(2, (1, 2, 3, 4)),
+        CodeConfig(3, (1, 7, 8)),
+        CodeConfig(4, (16,)),
+        CodeConfig(4, (9,)),
+        CodeConfig(4, (6, 16)),
+        CodeConfig(4, (12, 14, 15, 16)),
+        CodeConfig(4, (8, 13, 15, 16)),
+    ]
+
+    @pytest.mark.parametrize("bits", [0, 3, 6, 20])
+    def test_block_size_never_changes_the_average(self, monkeypatch, bits):
+        # 0 is the pure Gray walk over one codebook
+        expected = [ensemble_average_exact(cfg) for cfg in self.BATCH_CASES]
+        monkeypatch.setattr(polarspec.oracle, "BLOCK_BITS", bits)
+        assert [ensemble_average_exact(cfg) for cfg in self.BATCH_CASES] == expected
+        for cfg in self.BATCH_CASES[:4]:
+            assert list(ensemble_average_exact(cfg).counts) == naive_ensemble_average(cfg)
+
     def test_mass(self):
         cfg = CodeConfig(3, (4, 6, 7, 8))
         h = ensemble_average_exact(cfg)
@@ -167,6 +190,16 @@ class TestEnsembleAverageMC:
         c = ensemble_average_mc(cfg, 11, samples=8, threads=3)
         assert a == b == c
         assert ensemble_average_mc(cfg, 12, samples=8) != a
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        monkeypatch.setattr(polarspec.oracle.os, "cpu_count", lambda: 4)
+        assert _worker_count(1, 100) == 1
+        assert _worker_count(8, 100) == 4
+        assert _worker_count(8, 3) == 3
+        assert _worker_count(2, 100) == 2
+        assert _worker_count(0, 5) == 1
+        monkeypatch.setattr(polarspec.oracle.os, "cpu_count", lambda: None)
+        assert _worker_count(8, 100) == 1
 
     def test_source_fields(self):
         cfg = construct_pw(8, 4)

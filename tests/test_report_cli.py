@@ -68,6 +68,19 @@ class TestReportObjects:
         for e in rep.entries:
             assert set(e) == {"d", "value", "variance", "samples"}
 
+    def test_negative_digits_raise(self):
+        # every source rejects a negative precision, like DyadicRational.decimal
+        cfg = construct_pw(8, 4)
+        hists = [
+            ensemble_average_mc(cfg, 0, samples=3),
+            exact_spectrum(cfg, identity_transform(cfg)),
+        ]
+        for hist in hists:
+            with pytest.raises(ValueError, match="digits"):
+                report_from_histogram(cfg, "pw", hist, -2)
+        with pytest.raises(ValueError, match="digits"):
+            report_from_average(cfg, "pw", avg_spectrum(cfg), -1)
+
     def test_histogram_report_scl_saturation(self):
         cfg = construct_pw(16, 8)
         hist = collect_low_weight(cfg, identity_transform(cfg), 4)

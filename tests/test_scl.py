@@ -1,7 +1,11 @@
+import hashlib
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from polarspec.construct import CodeConfig, construct_pw, construct_rm
 from polarspec.kernel import encode, row_bits
@@ -12,7 +16,13 @@ from polarspec.pretransform import (
     pac_transform,
     random_transform,
 )
-from polarspec.scl import collect_low_weight, path_metric_update, scl_decode
+from polarspec.scl import (
+    _decode_arrays,
+    _select,
+    collect_low_weight,
+    path_metric_update,
+    scl_decode,
+)
 
 
 def brute_counts(cfg, transform):
@@ -31,6 +41,31 @@ class TestPathMetricUpdate:
     def test_zero_llr_counts_as_positive(self):
         assert path_metric_update(0, 0.0) == 0
         assert path_metric_update(1, 0.0) == 0
+
+
+@st.composite
+def _candidates(draw):
+    # 2P candidate metrics with heavy ties and gaps, and a list size that
+    # forces a prune: 1 <= L <= 2P - 1
+    paths = draw(st.integers(1, 40))
+    cand = draw(st.lists(st.integers(0, 9), min_size=2 * paths, max_size=2 * paths))
+    list_size = draw(st.integers(1, 2 * paths - 1) | st.just(2 * paths - 1))
+    return cand, list_size
+
+
+@given(_candidates())
+@example(([0, 0, 1, 1, 3, 3], 4))  # threshold 1 taken whole: bound is 3
+@example(([2, 2, 2, 2, 2, 2], 5))  # L = 2P - 1, one tie dropped: bound is 2
+@example(([5, 0, 7, 0, 0, 9], 3))  # all zeros kept: bound is 5
+@example(([4, 1], 1))
+def test_select_matches_stable_argsort(case):
+    cand, list_size = case
+    cand = np.array(cand, dtype=np.int64)
+    keep, bound = _select(cand, list_size)
+    order = np.argsort(cand, kind="stable")
+    assert keep.tolist() == sorted(order[:list_size].tolist())
+    assert bound == int(cand[order[list_size:]].min())
+    assert type(bound) is int
 
 
 class TestSclDecode:
@@ -248,3 +283,63 @@ def test_pw_128_64_identity_min_weight_count():
     h = collect_low_weight(cfg, identity_transform(cfg), 5000)
     assert h.counts[8] == 304
     assert not h.saturated[8]
+
+
+# sha256 prefixes of the decoder output, recorded from the eager-gather
+# decoder that copied every path's full state at each information decision.
+# They pin which candidates survive a tie at the prune boundary, the prune
+# bound itself and the lexicographic path order. Keys: (N, construction,
+# transform); RM codes use K = N/2 - 4 so they differ from the PW codes.
+PINNED_DIGESTS = {
+    (32, "pw", "identity"): ("efb5ad1251fdcb4e", "7790c83463212d60"),
+    (32, "pw", "pac"): ("d84095e00c81a38e", "bde402df4b67449d"),
+    (32, "pw", "crc"): ("349173229e13f21f", "081b7f83ec448723"),
+    (32, "pw", "random"): ("ca47bccc15ad83e6", "770244adcd1de13d"),
+    (32, "rm", "identity"): ("340e961a227b4f01", "977377b6848ef78e"),
+    (32, "rm", "pac"): ("002f2115e9cd9588", "7b68c9700ce5d60c"),
+    (32, "rm", "crc"): ("02810396149bbadc", "9e6ef3590e92d91b"),
+    (32, "rm", "random"): ("74a5f0dba5bd5bd2", "41720e8fe3d68460"),
+    (64, "pw", "identity"): ("555ced7e50969fbb", "b72b81c52c9ec4b5"),
+    (64, "pw", "pac"): ("43404d952e2887dc", "dee590370bcb9f4d"),
+    (64, "pw", "crc"): ("102d72285753ab37", "8825cfd828dc6344"),
+    (64, "pw", "random"): ("76160dcb1dd94ec4", "683892bade32ad07"),
+    (64, "rm", "identity"): ("42fc9c1753f37995", "50597b30e410205d"),
+    (64, "rm", "pac"): ("6758b495415caf51", "281dd7b6b97c559e"),
+    (64, "rm", "crc"): ("6252cf72dfb0cb2a", "86269f10c132a66a"),
+    (64, "rm", "random"): ("9358ca9d9d18240f", "9d5d16fa68e605e5"),
+    (128, "pw", "identity"): ("ab5023bbbca987f0", "860bb8d509519004"),
+    (128, "pw", "pac"): ("5d808d7bc8bd5338", "04c64679d78f077d"),
+    (128, "pw", "crc"): ("b6e9ef3ffba4b289", "bf2983cc57ad7088"),
+    (128, "pw", "random"): ("9b130403f4145e1e", "3e055625b554d146"),
+    (128, "rm", "identity"): ("43459862934220ba", "ab9d635afa4fb337"),
+    (128, "rm", "pac"): ("b70b3fa4086da962", "abf81c4d4bc8c730"),
+    (128, "rm", "crc"): ("ade0c7f94e7f600c", "d4a7b9919ebf76b7"),
+    (128, "rm", "random"): ("e48805223f1a2920", "9c07671556465d20"),
+}
+
+
+def _pinned_case(n, name, kind):
+    build, k = (construct_pw, n // 2) if name == "pw" else (construct_rm, n // 2 - 4)
+    if kind == "crc":
+        return crc_transform(build(n, k + 6), k, "1000011")
+    cfg = build(n, k)
+    if kind == "identity":
+        return cfg, identity_transform(cfg)
+    if kind == "pac":
+        return cfg, pac_transform(cfg, "1011011")
+    return cfg, random_transform(cfg, n + len(name))
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+def test_pruned_regime_is_pinned(key):
+    cfg, t = _pinned_case(*key)
+    arrays, paths = hashlib.sha256(), hashlib.sha256()
+    for lsize in (1, 7, 100, 5000):
+        metric, codewords, bound = _decode_arrays(cfg, t, lsize)
+        packed = np.packbits(codewords, axis=1, bitorder="little").tobytes().hex()
+        arrays.update(repr((metric.tolist(), packed, bound)).encode())
+        out, bound = scl_decode(cfg, t, lsize)
+        rows = [(p.u, p.message, p.metric, p.codeword) for p in out]
+        paths.update(repr((rows, bound)).encode())
+    got = (arrays.hexdigest()[:16], paths.hexdigest()[:16])
+    assert got == PINNED_DIGESTS[key]
