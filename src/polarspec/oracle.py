@@ -1,6 +1,18 @@
 """Independent ground truth by enumeration: brute-force spectra for a
 fixed transform, exhaustive ensemble averages, and Monte-Carlo estimates.
 
+Both enumeration routes share one kernel. A block of up to
+2^BLOCK_BITS codewords (bit-packed, one row of uint64 words each) is
+filled in place by doubling; further generator rows are walked in Gray
+code order, each step XORing one row into the whole block in place.
+
+Complement pairing: T is upper triangular, so its row N is e_N, and when
+N is an information index the generator row N of T·F_N is the all-ones
+word. Every codeword c then has the partner c + 1^N of weight N - w(c),
+so the kernel enumerates only the span of the other K-1 rows, with
+histogram h, and A_d = h_d + h_(N-d). Without row N every codeword is
+enumerated.
+
 Nothing in this module uses the recursion engine; agreement between the
 two is the decisive cross-validation and is enforced by the test suite.
 """
@@ -79,38 +91,63 @@ def generator_rows(config: CodeConfig, transform: PreTransform) -> list[int]:
 
 
 def _hist_of_block(block: np.ndarray, n: int) -> np.ndarray:
-    weights = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
+    counts = np.bitwise_count(block)
+    weights = counts[:, 0]  # uint8: one word per codeword needs no sum
+    if counts.shape[1] > 1:
+        # word by word: a sum over the short word axis is ~4x slower
+        weights = weights.astype(np.intp)
+        for w in range(1, counts.shape[1]):
+            weights += counts[:, w]
     return np.bincount(weights, minlength=n + 1)
 
 
-def _codeword_block(rows: list[int], n: int, split: int) -> np.ndarray:
-    # all XOR combinations of the first `split` rows, by doubling
+def _codeword_block(rows: list[int], n: int) -> np.ndarray:
+    """All 2^len(rows) XOR combinations of rows: row j combines the rows
+    whose positions are the set bits of j. Filled in place by doubling."""
     words = _wordcount(n)
-    block = np.zeros((1, words), dtype=np.uint64)
-    for g in rows[:split]:
-        block = np.concatenate([block, block ^ _to_words(g, words)])
+    block = np.zeros((1 << len(rows), words), dtype=np.uint64)
+    for b, g in enumerate(rows):
+        h = 1 << b
+        np.bitwise_xor(block[:h], _to_words(g, words), out=block[h : 2 * h])
     return block
 
 
+def _without_all_ones(rows: list[int], n: int) -> tuple[list[int], bool]:
+    """The rows other than the all-ones word, and whether it was there."""
+    ones = (1 << n) - 1
+    rest = [g for g in rows if g != ones]
+    return rest, len(rest) < len(rows)
+
+
+def _mirrored(hist: np.ndarray, paired: bool) -> np.ndarray:
+    # A_d = h_d + h_(N-d) when each enumerated codeword stands for itself
+    # and its complement
+    return hist + hist[::-1] if paired else hist
+
+
 def exact_spectrum(config: CodeConfig, transform: PreTransform) -> WeightHistogram:
-    """Weight histogram of one fixed code by enumerating all 2^K messages."""
+    """Weight histogram of one fixed code by enumerating all 2^K messages.
+
+    The first BLOCK_BITS generator rows span one in-place block; the
+    remaining rows are XORed into it in Gray code order, one per step.
+    When N is an information index its generator row is the all-ones
+    word: that row is dropped, only the 2^(K-1) codewords of the other
+    rows are enumerated, and each stands for its complement too.
+    """
     k = config.k
     if k > BRUTE_MAX_K:
         raise BudgetError(f"K={k} exceeds brute-force budget {BRUTE_MAX_K}")
     n = config.n
-    rows = generator_rows(config, transform)
-    split = min(k, BLOCK_BITS)
-    block = _codeword_block(rows, n, split)
-    hist = np.zeros(n + 1, dtype=np.int64)
     words = _wordcount(n)
-    for msk in range(1 << (k - split)):
-        x = 0
-        mm = msk
-        while mm:
-            x ^= rows[split + (mm & -mm).bit_length() - 1]
-            mm &= mm - 1
-        hist += _hist_of_block(block ^ _to_words(x, words), n)
-    return WeightHistogram("brute", n, tuple(int(c) for c in hist))
+    rows, paired = _without_all_ones(generator_rows(config, transform), n)
+    split = min(len(rows), BLOCK_BITS)
+    block = _codeword_block(rows[:split], n)
+    outer = [_to_words(g, words) for g in rows[split:]]
+    hist = _hist_of_block(block, n)
+    for step in range(1, 1 << len(outer)):
+        block ^= outer[(step & -step).bit_length() - 1]
+        hist += _hist_of_block(block, n)
+    return WeightHistogram("brute", n, tuple(int(c) for c in _mirrored(hist, paired)))
 
 
 def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
@@ -121,6 +158,11 @@ def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
     are walked in Gray-code order so each step flips a single T entry,
     which perturbs a single generator row; every codebook in the batch is
     patched in place instead of rebuilt.
+
+    Row N has no free entries, so when N is an information index every
+    codebook contains the all-ones word as its last generator row. That
+    row is dropped from the batch (the other rows keep their positions),
+    and each enumerated codeword stands for its complement too.
     """
     f = free_entry_count(config)
     k = config.k
@@ -144,20 +186,26 @@ def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
         view = batch.reshape(len(batch), -1, 1 << (pos + 1), words)
         view[:, :, 1 << pos :, :] ^= deltas[b]
 
-    rows = generator_rows(config, identity_transform(config))
-    # batch[j] is the codebook with the first `low` free entries set to the bits of j
-    batch = _codeword_block(rows, n, k)[None]
+    full = generator_rows(config, identity_transform(config))
+    rows, paired = _without_all_ones(full, n)
+    # flip addresses rows by position: only the last one may go
+    if rows != full[: len(rows)]:
+        raise RuntimeError("all-ones generator row is not the last row")
+    # batch[j] is the codebook with the first `low` free entries set to
+    # the bits of j, filled in place by doubling
     low = max(0, min(f, BLOCK_BITS - k))
+    batch = np.empty((1 << low, 1 << len(rows), words), dtype=np.uint64)
+    batch[0] = _codeword_block(rows, n)
     for b in range(low):
-        flipped = batch.copy()
-        flip(flipped, b)
-        batch = np.concatenate([batch, flipped])
+        h = 1 << b
+        batch[h : 2 * h] = batch[:h]
+        flip(batch[h : 2 * h], b)
     # int64 is safe: the grand total is 2^(F+K) <= 2^44 under the budget
     hist = _hist_of_block(batch.reshape(-1, words), n)
     for step in range(1, 1 << (f - low)):
         flip(batch, low + (step & -step).bit_length() - 1)
         hist += _hist_of_block(batch.reshape(-1, words), n)
-    means = tuple(DyadicRational(int(c), f) for c in hist)
+    means = tuple(DyadicRational(int(c), f) for c in _mirrored(hist, paired))
     return WeightHistogram("exhaustive-ensemble", n, means, samples=1 << f)
 
 

@@ -16,19 +16,20 @@ with the survivors' parents; a depth is gathered when the f/g step or
 the fold reads it, and every write makes a fresh array. The pending
 dynamic-frozen values are bit-packed, (P, ceil(N/64)) uint64 words,
 gathered at each decision. Survivors are selected by counting metrics,
-not by sorting. scl_decode derives u (codeword * F_N) and the message
-(forward substitution through T) after decoding.
+not by sorting. scl_decode derives u (codeword * F_N, a butterfly) and
+the message (forward substitution through T) after decoding, for all
+paths at once.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .construct import CodeConfig
-from .kernel import polar_transform
 from .oracle import WeightHistogram, _to_words, _wordcount
 from .pretransform import PreTransform
 
@@ -187,6 +188,43 @@ def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
     return metric, codewords, prune_bound
 
 
+def _inverse_transform(codewords: np.ndarray, m: int) -> np.ndarray:
+    """u = codeword * F_N for every column of an (N, P) bit array.
+
+    Row j-1 is position j, as in kernel.polar_transform: u_i is the XOR of
+    the codeword bits at the positions whose index bits contain those of
+    i, one butterfly stage per index bit.
+    """
+    u = codewords.copy()
+    for s in range(m):
+        view = u.reshape(-1, 2, 1 << s, u.shape[1])
+        view[:, 0] ^= view[:, 1]
+    return u
+
+
+def _messages(u: np.ndarray, config: CodeConfig, transform: PreTransform) -> np.ndarray:
+    """(K, P) message bits by forward substitution through T, all paths at once.
+
+    On the information indices u = message * T, so message bit p is u at
+    the p-th information index XOR the contributions of the earlier
+    message bits: each is added to the later bits its T row reaches.
+    """
+    info = config.info_set
+    msg = u[np.array(info) - 1]
+    for p, i in enumerate(info):
+        mask = transform.rows.get(i, 0)
+        later = [q for q in range(p + 1, len(info)) if mask >> (info[q] - 1) & 1]
+        if later:
+            msg[later] ^= msg[p]
+    return msg
+
+
+def _per_path(rows: np.ndarray):
+    # column p of an (X, P) uint8 array as a tuple of ints, for every path p
+    buf = np.ascontiguousarray(rows.T).tobytes()
+    return struct.iter_unpack(f"{rows.shape[0]}B", buf)
+
+
 def scl_decode(
     config: CodeConfig, transform: PreTransform, list_size: int
 ) -> tuple[list[DecoderPath], float]:
@@ -200,25 +238,23 @@ def scl_decode(
     if list_size < 1:
         raise ValueError("list_size must be >= 1")
     metric, codewords, prune_bound = _decode_arrays(config, transform, list_size)
-    out = []
-    for p in range(codewords.shape[0]):
-        cw = int.from_bytes(np.packbits(codewords[p], bitorder="little").tobytes(), "little")
-        u = polar_transform(cw, config.m)
-        # forward substitution through T: u_i = msg_i xor the pending acc_i
-        message, acc = [], 0
-        for i in config.info_set:
-            bit = (u ^ acc) >> (i - 1) & 1
-            message.append(bit)
-            if bit:
-                acc ^= transform.rows.get(i, 0)
-        out.append(
-            DecoderPath(
-                u=tuple(u >> j & 1 for j in range(config.n)),
-                message=tuple(message),
-                metric=int(metric[p]),
-                codeword=cw,
-            )
+    bits = codewords.T  # (N, P): a row per position
+    u = _inverse_transform(bits, config.m)
+    packed = np.packbits(bits, axis=0, bitorder="little")
+    out = [
+        DecoderPath(
+            u=ub,
+            message=mb,
+            metric=w,
+            codeword=int.from_bytes(bytes(cb), "little"),
         )
+        for ub, mb, w, cb in zip(
+            _per_path(u),
+            _per_path(_messages(u, config, transform)),
+            metric.tolist(),
+            _per_path(packed),
+        )
+    ]
     return out, prune_bound
 
 

@@ -7,6 +7,7 @@ test green. Set POLARSPEC_ACCEPT_FULL=1 to run the long-form statistics
 instead of the CI smoke variant.
 """
 
+import functools
 import math
 import os
 import time
@@ -309,13 +310,22 @@ def test_monte_carlo_statistics():
     assert ok, failures
 
 
+@functools.cache
+def tail_block(m: int, pivot_row: int) -> np.ndarray:
+    """All XOR combinations of the rows after `pivot_row`, built once per
+    (m, pivot_row) and shared by every transform row swept there."""
+    block = np.zeros(1, dtype=np.uint64)
+    for j in range(pivot_row + 1, (1 << m) + 1):
+        block = np.concatenate([block, block ^ np.uint64(row_bits(m, j))])
+    block.flags.writeable = False
+    return block
+
+
 def direct_coset_hist(m: int, pivot_row: int, pivot_mask: int) -> np.ndarray:
     """Weight histogram of row `pivot_row`'s coset under one transform row,
     by plain enumeration of all tail combinations."""
     n = 1 << m
-    block = np.zeros(1, dtype=np.uint64)
-    for j in range(pivot_row + 1, n + 1):
-        block = np.concatenate([block, block ^ np.uint64(row_bits(m, j))])
+    block = tail_block(m, pivot_row)
     cfg = CodeConfig(m, (pivot_row,))
     (g,) = generator_rows(cfg, PreTransform(n, {pivot_row: pivot_mask}))
     return np.bincount(np.bitwise_count(block ^ np.uint64(g)), minlength=n + 1)

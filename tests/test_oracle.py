@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarspec.construct import CodeConfig, construct_pw, construct_rm, min_row_weight
 from polarspec.dyadic import DyadicRational
@@ -22,8 +24,10 @@ from polarspec.oracle import (
 )
 from polarspec.pretransform import (
     PreTransform,
+    crc_transform,
     free_entry_count,
     identity_transform,
+    pac_transform,
     random_transform,
     transform_from_bits,
 )
@@ -180,6 +184,116 @@ class TestEnsembleAverageExact:
         with pytest.raises(BudgetError):
             ensemble_average_exact(construct_pw(64, 16))
         assert free_entry_count(construct_pw(64, 16)) > ENSEMBLE_MAX_FREE
+
+
+def _pairing_case(name: str) -> tuple[CodeConfig, PreTransform]:
+    kind, _, rest = name.partition("-")
+    if kind == "crc":
+        cfg, t = crc_transform(construct_pw(16, 10), 6, "10011")
+        if rest == "with-N":
+            # the CRC code plus the all-ones word; T leaves row N as e_N
+            cfg, t = CodeConfig(4, cfg.info_set + (16,)), PreTransform(16, {**t.rows, 16: 0})
+        return cfg, t
+    cfg = {
+        "with-N": construct_pw(32, 7),
+        "without-N": CodeConfig(5, (16, 24, 28, 29, 30, 31)),
+        "n128-with-N": construct_pw(128, 8),
+        "n128-without-N": CodeConfig(7, (96, 112, 120, 124, 125, 126, 127)),
+        "rm-with-N": construct_rm(16, 11),
+        "k1-row-N": CodeConfig(3, (8,)),
+        "n128-k1-row-N": CodeConfig(7, (128,)),
+    }[rest]
+    if kind == "identity":
+        return cfg, identity_transform(cfg)
+    if kind == "pac":
+        return cfg, pac_transform(cfg, "1011011")
+    return cfg, random_transform(cfg, cfg.n + cfg.k)
+
+
+PAIRING_CASES = [
+    f"{kind}-{rest}"
+    for kind in ("identity", "pac", "random")
+    for rest in ("with-N", "without-N", "n128-with-N", "n128-without-N", "rm-with-N")
+] + ["crc-with-N", "crc-without-N", "identity-k1-row-N", "identity-n128-k1-row-N"]
+
+
+class TestComplementPairing:
+    @pytest.mark.parametrize("bits", [0, 3, 20])
+    @pytest.mark.parametrize("name", PAIRING_CASES)
+    def test_exact_spectrum_matches_naive(self, monkeypatch, name, bits):
+        # 0 and 3 put most rows in the outer Gray walk; 20 none of them
+        cfg, t = _pairing_case(name)
+        monkeypatch.setattr(polarspec.oracle, "BLOCK_BITS", bits)
+        assert list(exact_spectrum(cfg, t).counts) == naive_spectrum(cfg, t)
+
+    @pytest.mark.parametrize("name", ["random-with-N", "random-without-N", "crc-with-N"])
+    def test_only_half_the_codewords_are_enumerated_with_row_n(self, monkeypatch, name):
+        cfg, t = _pairing_case(name)
+        seen = []
+        real = polarspec.oracle._hist_of_block
+
+        def spy(block, n):
+            seen.append(len(block))
+            return real(block, n)
+
+        monkeypatch.setattr(polarspec.oracle, "_hist_of_block", spy)
+        exact_spectrum(cfg, t)
+        paired = cfg.info_set[-1] == cfg.n
+        assert sum(seen) == 1 << (cfg.k - paired)
+        seen.clear()
+        ensemble = CodeConfig(3, (6, 7, 8) if paired else (5, 6, 7))
+        ensemble_average_exact(ensemble)
+        assert sum(seen) == 1 << (free_entry_count(ensemble) + ensemble.k - paired)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        extra=st.sets(st.integers(1, 63), max_size=7),
+        kind=st.sampled_from(["identity", "pac", "random"]),
+        seed=st.integers(0, 1 << 32),
+    )
+    def test_counts_are_symmetric_with_row_n(self, m, extra, kind, seed):
+        n = 1 << m
+        cfg = CodeConfig(m, tuple(sorted({i for i in extra if i < n} | {n})))
+        if kind == "identity":
+            t = identity_transform(cfg)
+        elif kind == "pac":
+            t = pac_transform(cfg, "1101")
+        else:
+            t = random_transform(cfg, seed)
+        counts = exact_spectrum(cfg, t).counts
+        assert all(counts[d] == counts[n - d] for d in range(n + 1))
+        assert sum(counts) == 1 << cfg.k
+
+    # information sets that lack row N: the ensemble route enumerates
+    # every codeword; two with row N for contrast
+    ENSEMBLE_CASES = [
+        CodeConfig(1, (1,)),
+        CodeConfig(2, (2, 3)),
+        CodeConfig(3, (4, 6, 7)),
+        CodeConfig(3, (2, 7)),
+        CodeConfig(4, (12, 14, 15)),
+        CodeConfig(4, (11, 13, 14, 15)),
+        CodeConfig(3, (8,)),
+        CodeConfig(4, (12, 14, 15, 16)),
+    ]
+
+    @pytest.mark.parametrize("bits", [0, 3, 20])
+    def test_ensemble_matches_recursion(self, monkeypatch, bits):
+        monkeypatch.setattr(polarspec.oracle, "BLOCK_BITS", bits)
+        for cfg in self.ENSEMBLE_CASES:
+            h = ensemble_average_exact(cfg)
+            s = avg_spectrum(cfg)
+            assert h.counts[0] == DyadicRational(1), cfg
+            assert all(h.counts[d] == s[d] for d in range(1, cfg.n + 1)), cfg
+
+    def test_ensemble_needs_the_all_ones_row_last(self, monkeypatch):
+        real = generator_rows
+        monkeypatch.setattr(
+            polarspec.oracle, "generator_rows", lambda c, t: real(c, t)[::-1]
+        )
+        with pytest.raises(RuntimeError, match="all-ones"):
+            ensemble_average_exact(CodeConfig(3, (6, 7, 8)))
 
 
 class TestEnsembleAverageMC:

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polarspec.construct import CodeConfig, construct_pw, construct_rm
-from polarspec.kernel import encode, row_bits
+from polarspec.kernel import encode, polar_transform, row_bits
 from polarspec.oracle import exact_spectrum
 from polarspec.pretransform import (
     crc_transform,
@@ -18,6 +18,8 @@ from polarspec.pretransform import (
 )
 from polarspec.scl import (
     _decode_arrays,
+    _inverse_transform,
+    _messages,
     _select,
     collect_low_weight,
     path_metric_update,
@@ -343,3 +345,32 @@ def test_pruned_regime_is_pinned(key):
         paths.update(repr((rows, bound)).encode())
     got = (arrays.hexdigest()[:16], paths.hexdigest()[:16])
     assert got == PINNED_DIGESTS[key]
+
+
+@given(
+    m=st.integers(1, 7),
+    paths=st.integers(1, 5),
+    seed=st.integers(0, 1 << 32),
+    rate=st.sampled_from([0.25, 0.5, 1.0]),
+)
+def test_batched_inverse_and_substitution_match_the_scalar_route(m, paths, seed, rate):
+    # arbitrary bit columns, not only codewords: each column goes through
+    # kernel.polar_transform and a scalar forward substitution through T
+    n = 1 << m
+    cfg = construct_pw(n, max(1, int(n * rate)))
+    t = random_transform(cfg, seed)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(n, paths), dtype=np.uint8)
+    u = _inverse_transform(bits, m)
+    msg = _messages(u, cfg, t)
+    for p in range(paths):
+        cw = sum(int(b) << j for j, b in enumerate(bits[:, p]))
+        ref = polar_transform(cw, m)
+        assert u[:, p].tolist() == [ref >> j & 1 for j in range(n)]
+        acc, expected = 0, []
+        for i in cfg.info_set:
+            bit = (ref ^ acc) >> (i - 1) & 1
+            expected.append(bit)
+            if bit:
+                acc ^= t.rows.get(i, 0)
+        assert msg[:, p].tolist() == expected
