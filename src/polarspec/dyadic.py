@@ -18,7 +18,8 @@ class DyadicRational:
     Lowest terms means num is odd whenever exp > 0; zero is stored as
     (0, 0). Supports the arithmetic the spectrum code needs: addition,
     multiplication, shifts by powers of two, ordering, and exact decimal
-    rendering with round-half-to-even.
+    rendering with round-half-to-even. Compares and hashes exactly
+    against ints as well.
     """
 
     __slots__ = ("num", "exp")
@@ -84,9 +85,15 @@ class DyadicRational:
 
     __rmul__ = __mul__
 
-    def _cmp_key(self, other: "DyadicRational") -> tuple[int, int]:
-        e = max(self.exp, other.exp)
-        return self.num << (e - self.exp), other.num << (e - other.exp)
+    def _cmp_key(self, other) -> tuple[int, int] | None:
+        """Numerators of self and other over one power of two; None if other
+        is neither a DyadicRational nor an int."""
+        if isinstance(other, DyadicRational):
+            e = max(self.exp, other.exp)
+            return self.num << (e - self.exp), other.num << (e - other.exp)
+        if isinstance(other, int):
+            return self.num, other << self.exp
+        return None
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -96,15 +103,24 @@ class DyadicRational:
         return self.num == other.num and self.exp == other.exp
 
     def __lt__(self, other):
-        a, b = self._cmp_key(other)
-        return a < b
+        key = self._cmp_key(other)
+        return NotImplemented if key is None else key[0] < key[1]
 
     def __le__(self, other):
-        a, b = self._cmp_key(other)
-        return a <= b
+        key = self._cmp_key(other)
+        return NotImplemented if key is None else key[0] <= key[1]
+
+    def __gt__(self, other):
+        key = self._cmp_key(other)
+        return NotImplemented if key is None else key[0] > key[1]
+
+    def __ge__(self, other):
+        key = self._cmp_key(other)
+        return NotImplemented if key is None else key[0] >= key[1]
 
     def __hash__(self):
-        return hash((self.num, self.exp))
+        # an integer value hashes as the int it equals
+        return hash(self.num) if self.exp == 0 else hash((self.num, self.exp))
 
     def __float__(self) -> float:
         if self.exp < 1024:

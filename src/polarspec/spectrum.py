@@ -6,6 +6,12 @@ coset i of length h, when i <= h. Both maps are linear, so the recursion
 carries one weighted sum of enumerators per branch: an ensemble average
 sums its information rows, a single coset has one unit weight.
 
+Two facts halve the work. Every coset i < n holds the complement of each
+member, so its counts are symmetric and each node computes degrees up to
+n/2 only; coset n is the all-ones word alone. Every coset has one weight
+parity, odd for i = 1 and even otherwise, so the low map runs on each
+parity of S apart, over every other degree.
+
 Everything here is integer or dyadic arithmetic; no floats are involved,
 so results are reproducible bit-for-bit at any block length.
 """
@@ -72,48 +78,65 @@ class AverageSpectrum:
 def _add_low_map(out: list[int], a: list[int], half: int) -> None:
     """out += (1 + x^2)^half * A(2x / (1 + x^2)), truncated to len(out).
 
-    Horner's rule in (1 + x^2), r <- r (1 + x^2) + a_k (2x)^k, adds only,
-    from the first to the last nonzero a_k; then r (1 + x^2)^(half - last).
+    a_k lands on degrees k, k + 2, ..., so each parity of A maps on its
+    own, over the stride-2 slice of its degrees. Per parity, Horner's rule
+    steps k by 2, r <- r (1 + x^2)^2 + a_k (2x)^k, adds only, from the
+    first to the last nonzero a_k; then r (1 + x^2)^(half - last).
     """
-    nonzero = [k for k, c in enumerate(a) if c]
-    if not nonzero:
-        return
-    first, last = nonzero[0], nonzero[-1]
     d_max = len(out) - 1
-    r = [0] * (d_max + 1)
-    for k in range(first, last + 1):
-        top = min(2 * k - first, d_max) + 1  # r has no weight above 2k - first
-        r[first + 2 : top] = [x + y for x, y in zip(r[first + 2 : top], r[first:top])]
-        r[k] += a[k] << k
-    n = half - last
-    binom = [math.comb(n, t) for t in range(min(n, (d_max - first) >> 1) + 1)]
-    for d, c in enumerate(r):
-        if c:
-            length = min(len(binom), ((d_max - d) >> 1) + 1)
-            seg = slice(d, d + 2 * length - 1, 2)
-            out[seg] = [o + c * b for o, b in zip(out[seg], binom)]
+    for parity in (0, 1):
+        c = a[parity::2]  # c[j] is a_(parity + 2j)
+        nonzero = [j for j, x in enumerate(c) if x]
+        if not nonzero:
+            continue
+        j0, steps = nonzero[0], nonzero[-1] - nonzero[0]
+        first = parity + 2 * j0
+        size = ((d_max - first) >> 1) + 1
+        r = [0] * size  # r[s] is the coefficient of x^(first + 2s)
+        r[0] = c[j0] << first
+        for s in range(1, steps + 1):  # k = first + 2s
+            top = min(2 * s, size - 1) + 1  # r has no weight above x^(2k - first)
+            r[1:top] = [x + y for x, y in zip(r[1:top], r)]  # (1 + x^2), twice
+            r[1:top] = [x + y for x, y in zip(r[1:top], r)]
+            r[s] += c[j0 + s] << (first + 2 * s)
+        n = half - first - 2 * steps
+        binom = [math.comb(n, t) for t in range(min(n, size - 1) + 1)]
+        for s, x in enumerate(r):
+            if x:
+                d = first + 2 * s
+                seg = slice(d, d + 2 * min(len(binom), size - s) - 1, 2)
+                out[seg] = [o + x * b for o, b in zip(out[seg], binom)]
 
 
 def _weighted_sum(level: int, rows: list[tuple[int, int]], d_max: int) -> list[int]:
     """Coefficients 0..d_max of the sum of w * S_i over (i, w) in rows.
 
-    S_i is the weight enumerator of coset i at length 2^level. Each half's
-    rows are summed in one call a level down and mapped once: O(N^2)
-    coefficient operations for a full spectrum.
+    S_i is the weight enumerator of coset i at length n = 2^level. Cosets
+    i < n hold the complement of each member and coset n is the all-ones
+    word alone, so above n/2 the sum is the mirror of degrees 0..n/2 plus
+    row n's weight at x^n. Up to n/2, each half's rows are summed in one
+    call a level down and mapped once: O(N^2) coefficient operations for
+    a full spectrum. Rows ascend by index.
     """
+    if level == 0:
+        return [0, rows[0][1]][: d_max + 1]  # the single coset {1}
+    n, half = 1 << level, 1 << (level - 1)
+    if d_max > half:
+        out = _weighted_sum(level, rows, half)
+        out += out[n - d_max : half][::-1]  # out[d] = out[n - d] for half < d <= d_max
+        if d_max == n:
+            i, w = rows[-1]  # rows ascend, so row n is the last if present
+            out[n] = w if i == n else 0
+        return out
     out = [0] * (d_max + 1)
     if min(1 << (i - 1).bit_count() for i, _ in rows) > d_max:
         return out  # every row of the branch is heavier than d_max
-    if level == 0:
-        out[1] = rows[0][1]  # the single coset {1}
-        return out
-    half = 1 << (level - 1)
     low = [(i, w) for i, w in rows if i <= half]
     high = [(i - half, w) for i, w in rows if i > half]
     if high:
         out[::2] = _weighted_sum(level - 1, high, d_max >> 1)
     if low:
-        _add_low_map(out, _weighted_sum(level - 1, low, min(d_max, half)), half)
+        _add_low_map(out, _weighted_sum(level - 1, low, d_max), half)
     return out
 
 
@@ -203,7 +226,9 @@ def verify_average(spec: AverageSpectrum) -> list[str]:
     config, entries, n = spec.config, spec.entries, spec.config.n
     if spec.d_max != n:
         raise ValueError(f"verify_average needs the full spectrum, d_max {spec.d_max} < {n}")
-    total = sum((entries[d] for d in range(1, n + 1)), DyadicRational(0))
+    values = [entries[d] for d in range(1, n + 1)]
+    e = max(v.exp for v in values)  # sum the numerators over 2^e in one integer
+    total = DyadicRational(sum(v.num << (e - v.exp) for v in values), e)
     expected = DyadicRational((1 << config.k) - 1)
     problems = [f"total mass {total} != 2^K - 1 = {expected}"] if total != expected else []
     problems += [f"nonzero mass {entries[d]} below minimum weight at d={d}"

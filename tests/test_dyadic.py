@@ -49,6 +49,41 @@ def test_ordering():
     assert DyadicRational(1, 1) < DyadicRational(3, 2) < DyadicRational(1, 0)
 
 
+def test_equal_ints_hash_equal():
+    assert DyadicRational(2) == 2 and hash(DyadicRational(2)) == hash(2)
+    assert {2, DyadicRational(2)} == {2}
+    assert len({0, DyadicRational(0, 9), DyadicRational(1 << 80)} | {1 << 80}) == 2
+    assert {DyadicRational(1, 1): "half"}[DyadicRational(2, 2)] == "half"
+
+
+def test_ordering_against_ints():
+    one, half = DyadicRational(1), DyadicRational(1, 1)
+    assert one < 2 and one <= 1 and one >= 1 and not one > 1
+    assert 0 < half < 1 and 1 > half > 0 and -1 < half
+    assert 2 > one and 1 >= one and not 1 < one
+    assert max(3, DyadicRational(7, 1), 2) == DyadicRational(7, 1)
+    assert sorted([2, DyadicRational(3, 1), 1, DyadicRational(0)]) == [0, 1, DyadicRational(3, 1), 2]
+
+
+def test_ordering_against_other_types_is_not_implemented():
+    with pytest.raises(TypeError):
+        DyadicRational(1) < 1.5
+    with pytest.raises(TypeError):
+        DyadicRational(1) >= "1"
+    with pytest.raises(TypeError):
+        None > DyadicRational(1)
+
+
+@given(st.integers(0, 1 << 40), st.integers(0, 40), st.integers(-(1 << 41), 1 << 41))
+def test_int_comparisons_match_fractions(num, exp, other):
+    x, f = DyadicRational(num, exp), Fraction(num, 1 << exp)
+    assert (x < other, x <= other, x > other, x >= other, x == other) == (
+        f < other, f <= other, f > other, f >= other, f == other)
+    assert (other < x, other <= x, other > x, other >= x) == (other < f, other <= f, other > f, other >= f)
+    if x == other:
+        assert hash(x) == hash(other)
+
+
 def test_fraction_round_trip():
     f = Fraction(88541, 32)
     assert DyadicRational.from_fraction(f).to_fraction() == f

@@ -1,8 +1,11 @@
 import json
 import math
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from polarspec.cli import THREADS_ENV, main
 from polarspec.construct import CodeConfig, construct_pw, construct_rm
@@ -15,6 +18,7 @@ from polarspec.oracle import (
 from polarspec.pretransform import crc_transform, identity_transform, random_transform
 from polarspec.report import (
     CSV_COLUMNS,
+    SpectrumReport,
     report_from_average,
     report_from_histogram,
 )
@@ -110,6 +114,45 @@ class TestReportObjects:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + 9  # header + d = 0..8
         assert lines[1] == "0,1.000000,1,0,,,"
+
+
+# text that stresses a hand-built encoder: separators, escapes, non-ASCII
+_TRICKY = st.text(
+    st.one_of(st.sampled_from('\n"\\{},:[] \t\u2028é漢\U0001f600'), st.characters()), max_size=12
+)
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-(1 << 70), 1 << 70), _TRICKY,
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_ENTRY = st.dictionaries(st.sampled_from(["d", "num", "exp2", "value", "variance", "samples",
+                                          "saturated"]), _SCALAR)
+_REPORT = st.builds(
+    SpectrumReport,
+    code=st.fixed_dictionaries({
+        "n": st.integers(0, 1 << 20), "k": st.integers(0, 1 << 20),
+        "construction": _TRICKY, "info_set": st.lists(st.integers(1, 1 << 20), max_size=6),
+    }),
+    method=_TRICKY,
+    entries=st.lists(_ENTRY, max_size=6),
+    transform=st.none() | st.dictionaries(_TRICKY, st.one_of(
+        _TRICKY, st.integers(), st.lists(st.integers(), max_size=3).map(tuple),
+        st.builds(OrderedDict, st.dictionaries(_TRICKY, _SCALAR, max_size=2)),
+    ), max_size=4),
+    samples=st.none() | st.integers(0, 1000),
+    seed=st.none() | st.integers(0, 1 << 64),
+    list_size=st.none() | st.integers(1, 5000),
+)
+
+
+@given(_REPORT)
+@example(SpectrumReport(
+    code={"n": 8, "k": 0, "construction": 'a,\n  "b": {é}\\', "info_set": []},
+    method="", entries=[],
+    transform={"kind": "pac", "poly": '\n},\n  {"漢"', "": "[]", "k_outer": 3},
+))
+@example(SpectrumReport(code={}, method="x", entries=[{}, {"d": 1}, {}]))
+def test_to_json_matches_json_dumps(rep):
+    assert rep.to_json() == json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 class TestGoldenFiles:

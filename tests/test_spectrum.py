@@ -1,7 +1,9 @@
+import hashlib
 import os
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from polarspec.construct import CodeConfig, construct_pw, construct_rm, min_row_weight
 from polarspec.dyadic import DyadicRational
@@ -236,3 +238,78 @@ def test_truncation_is_prefix_at_1024(build):
         part = avg_spectrum(cfg, d_max=d_max)
         assert part.d_max == d_max
         assert all(part[d] == full[d] for d in range(1, d_max + 1))
+
+
+def _spectrum_digest(spec) -> str:
+    text = "\n".join(f"{d} {v.num} {v.exp}" for d, v in sorted(spec.entries.items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:32]
+
+
+# sha256 prefixes of full avg_spectrum outputs, recorded from the
+# unmirrored, parity-mixed recursion; the kernels must reproduce them
+PINNED_FULL = {
+    (2048, "rm", 512): "547de368f6d80312be168cf294cd8afd",
+    (2048, "rm", 1024): "bbdbb90d0dd2e2cd798bedf068eaa55a",
+    (2048, "rm", 1536): "6b5c0f8e0ed9f6964c0f1cf92604dfc1",
+    (2048, "pw", 512): "4f69dc17e3d5be2b6f42af9b37139d0d",
+    (2048, "pw", 1024): "43b7386d4d456fdc50f029b866ce1646",
+    (2048, "pw", 1536): "1382355f9c2f60f7b7309ed4c2c8123b",
+    (4096, "rm", 1024): "2ab40924aab692dd4ea5bf9c56c48dd5",
+    (4096, "rm", 2048): "679222e7b2133314902c3a0b908db910",
+    (4096, "rm", 3072): "1b49a7caab9e53d049a22f4ea7875be5",
+    (4096, "pw", 1024): "933d2fea180dd6a9da00c644f65d4188",
+    (4096, "pw", 2048): "77be6441c9869e83b9cda731aa12145b",
+    (4096, "pw", 3072): "f2d3bf337533d4d5974da81ff5350ffb",
+}
+BUILDERS = {"rm": construct_rm, "pw": construct_pw}
+
+
+@pytest.mark.parametrize(
+    "n,name,k",
+    [
+        key if key[0] == 2048 else pytest.param(*key, marks=pytest.mark.skipif(
+            not FULL, reason="set POLARSPEC_ACCEPT_FULL=1 for N=4096"))
+        for key in PINNED_FULL
+    ],
+)
+def test_full_spectrum_is_pinned(n, name, k):
+    spec = avg_spectrum(BUILDERS[name](n, k))
+    assert _spectrum_digest(spec) == PINNED_FULL[n, name, k]
+
+
+@given(st.data())
+def test_coset_spectra_are_symmetric(data):
+    # coset i < N holds the complement of each member; coset N is 1^N alone
+    m = data.draw(st.integers(1, 7))
+    n = 1 << m
+    i = data.draw(st.integers(1, n))
+    counts = coset_spectrum(m, i).counts
+    if i < n:
+        assert counts == counts[::-1]
+    else:
+        assert counts == (0,) * n + (1,)
+
+
+def _mixed_or_open_info_set(rng: random.Random, m: int, with_row_1: bool) -> CodeConfig:
+    # with_row_1: row 1 (odd weights) plus another low-half row, so the low
+    # branch carries both parities; otherwise a set without row N
+    n = 1 << m
+    if with_row_1:
+        info = {1, rng.randint(2, n // 2)} | set(rng.sample(range(1, n + 1), rng.randint(0, n - 2)))
+    else:
+        info = set(rng.sample(range(1, n), rng.randint(1, n - 1)))
+    return CodeConfig(m, tuple(sorted(info)))
+
+
+@pytest.mark.parametrize("with_row_1", [True, False])
+@pytest.mark.parametrize("seed", range(8))
+def test_truncation_is_prefix_around_the_mirror(seed, with_row_1):
+    rng = random.Random(seed)
+    m = 2 + seed % 7  # N = 4 .. 256
+    n = 1 << m
+    cfg = _mixed_or_open_info_set(rng, m, with_row_1)
+    assert 1 in cfg.info_set if with_row_1 else n not in cfg.info_set
+    full = avg_spectrum(cfg)
+    for d_max in (n // 2 - 1, n // 2, n // 2 + 1, n - 1):
+        part = avg_spectrum(cfg, d_max=d_max)
+        assert [part[d] for d in range(1, d_max + 1)] == [full[d] for d in range(1, d_max + 1)]
