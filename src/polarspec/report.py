@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import json
 from dataclasses import dataclass, field
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 
 from .construct import CodeConfig
 from .dyadic import DyadicRational
@@ -75,10 +76,8 @@ class SpectrumReport:
 
 @functools.cache
 def _flat_encoder(depth: int):
-    """CPython's C JSON encoder, items separated by a newline and depth indents."""
-    return c_make_encoder(
-        None, None, encode_basestring_ascii, None, ": ", ",\n" + "  " * depth, True, False, True
-    )
+    """json's one-line encoder, items separated by a newline and depth indents."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
 
 
 _SCALARS = {str, int, float, bool, type(None)}
@@ -88,17 +87,17 @@ def _canonical(obj, depth: int) -> str:
     """The text of json.dumps(obj, sort_keys=True, indent=2) at ``depth``,
     for objects whose nested dicts have string keys.
 
-    With an indent, json falls back to its pure-Python encoder. The C
-    encoder has no indent, so it encodes each container of scalars with
-    ",\n" plus the item indent as separator; encoded strings escape
-    newlines, so every raw newline in its output is a separator.
+    With an indent, json falls back to its pure-Python encoder. Without
+    one it takes the C path, so each container of scalars is encoded
+    flat with ",\n" plus the item indent as separator; encoded strings
+    escape newlines, so every raw newline in its output is a separator.
     """
     if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return _flat_encoder(0)(obj, 0)[0]  # a scalar, [] or {}
+        return _flat_encoder(0)(obj)  # a scalar, [] or {}
     is_dict = isinstance(obj, dict)
     pad, inner = "  " * depth, "  " * (depth + 1)
     if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
-        body = _flat_encoder(depth + 1)(obj, 0)[0][1:-1]
+        body = _flat_encoder(depth + 1)(obj)[1:-1]
     elif is_dict:
         body = f",\n{inner}".join(
             f"{encode_basestring_ascii(k)}: {_canonical(v, depth + 1)}" for k, v in sorted(obj.items())

@@ -155,6 +155,17 @@ def test_to_json_matches_json_dumps(rep):
     assert rep.to_json() == json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def test_to_json_matches_json_dumps_on_long_lists():
+    # json's C encoder hands back a list past ~50000 items; all of it must be kept
+    for size in (49_999, 50_000, 70_001):
+        rep = SpectrumReport(
+            code={"n": 1 << 17, "k": size, "construction": "pw", "info_set": list(range(1, size + 1))},
+            method="recursion",
+            entries=[{"d": 1, "num": "2", "exp2": 0}],
+        )
+        assert rep.to_json() == json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
 class TestGoldenFiles:
     """Byte-for-byte serialization pins; regenerate deliberately if the
     format ever changes on purpose."""

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from polarspec.construct import CodeConfig, construct_pw, construct_rm, min_row_weight
 from polarspec.dyadic import DyadicRational
-from polarspec.kernel import row_weight
+from polarspec.kernel import row_bits, row_weight
 from polarspec.spectrum import (
     avg_nmin,
     avg_spectrum,
@@ -275,6 +275,32 @@ BUILDERS = {"rm": construct_rm, "pw": construct_pw}
 def test_full_spectrum_is_pinned(n, name, k):
     spec = avg_spectrum(BUILDERS[name](n, k))
     assert _spectrum_digest(spec) == PINNED_FULL[n, name, k]
+
+
+def _enumerated_coset_counts(m: int, i: int) -> list[int]:
+    # walk row i + span(rows i+1..N) in Gray order, one popcount per member
+    n = 1 << m
+    rows = [row_bits(m, j) for j in range(i + 1, n + 1)]
+    word = row_bits(m, i)
+    counts = [0] * (n + 1)
+    counts[word.bit_count()] += 1
+    for t in range(1, 1 << len(rows)):
+        word ^= rows[(t & -t).bit_length() - 1]
+        counts[word.bit_count()] += 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "m,i", [(m, i) for m in range(1, 5) for i in range(1, (1 << m) + 1)]
+    + [(5, i) for i in range(18, 33)],
+)
+def test_coset_spectrum_matches_enumeration(m, i):
+    # an independent count of every member: tests the complement symmetry
+    # the recursion mirrors on, and the mirrored upper half itself
+    counts = _enumerated_coset_counts(m, i)
+    if i < 1 << m:
+        assert counts == counts[::-1]
+    assert list(coset_spectrum(m, i).counts) == counts
 
 
 @given(st.data())
