@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on runtime or budget failures, 2 on usage
-errors (argparse's convention).
+errors (argparse's convention): an ArgumentTypeError from a type=
+callable, or from a command for a check over several flags.
 """
 
 from __future__ import annotations
@@ -26,96 +27,102 @@ from .spectrum import avg_spectrum, verify_average
 THREADS_ENV = "POLARSPEC_THREADS"
 
 
-def _add_code_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, required=True, help="block length, a power of two")
-    sub.add_argument("--k", type=int, help="code dimension (message bits)")
-    sub.add_argument(
-        "--construction",
-        required=True,
-        help="rm | pw | file:PATH (one 1-based index per line, # comments)",
-    )
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
-def _digits(text: str) -> int:
+def _method(text: str) -> tuple[str, int | None]:
+    """--method text -> (method, list size or None)."""
+    if text == "brute":
+        return "brute", None
+    if text.startswith("scl:"):
+        return "scl", _int_at_least(1)(text[4:])
+    raise argparse.ArgumentTypeError(f"unknown method {text!r} (expected brute or scl:LIST_SIZE)")
+
+
+def _transform(text: str) -> dict:
+    """--transform text -> the report's descriptor dict (polynomials stay text)."""
     try:
-        value = int(text)
+        if text == "identity":
+            return {"kind": "identity"}
+        if text.startswith("random:"):
+            return {"kind": "random", "seed": int(text[7:])}
+        if text.startswith("pac:"):
+            return {"kind": "pac", "poly": text[4:]}
+        if text.startswith("crc:") and "," in text:
+            poly, kprime = text[4:].rsplit(",", 1)
+            return {"kind": "crc", "poly": poly, "k_outer": int(kprime)}
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--round", type=_digits, default=6, metavar="DIGITS",
-                     help="decimal digits in rendered values (default 6)")
-    sub.add_argument("--out", help="write the report here instead of stdout")
+        pass
+    raise argparse.ArgumentTypeError(
+        f"bad transform {text!r} (expected identity, random:SEED, pac:POLY or crc:POLY,KPRIME)"
+    )
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)  # every command's code and output flags
+    shared.add_argument("--n", type=int, required=True, help="block length, a power of two")
+    shared.add_argument("--k", type=int, help="code dimension (message bits)")
+    shared.add_argument("--construction", required=True,
+                        help="rm | pw | file:PATH (one 1-based index per line, # comments)")
+    shared.add_argument("--format", choices=("json", "csv"), default="json")
+    shared.add_argument("--round", type=_int_at_least(0), default=6, metavar="DIGITS",
+                        help="decimal digits in rendered values (default 6)")
+    shared.add_argument("--out", help="write the report here instead of stdout")
     parser = argparse.ArgumentParser(
         prog="polarspec",
         description="Exact and simulated weight spectra of pre-transformed polar codes.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("avg-spectrum", help="exact ensemble-average spectrum (recursion)")
-    _add_code_flags(p)
+    p = subs.add_parser("avg-spectrum", parents=[shared],
+                        help="exact ensemble-average spectrum (recursion)")
     p.add_argument("--dmax", type=int, help="largest weight to compute (default N)")
     p.add_argument("--verify", action="store_true",
                    help="run internal mass/parity checks (requires --dmax N)")
-    _add_output_flags(p)
     p.set_defaults(func=cmd_avg_spectrum)
 
-    p = subs.add_parser("exact-spectrum", help="spectrum of one fixed pre-transformed code")
-    _add_code_flags(p)
-    p.add_argument("--transform", default="identity",
+    p = subs.add_parser("exact-spectrum", parents=[shared],
+                        help="spectrum of one fixed pre-transformed code")
+    p.add_argument("--transform", type=_transform, default="identity",
                    help="identity | random:SEED | pac:POLY | crc:POLY,KPRIME")
-    p.add_argument("--method", default="brute", help="brute | scl:LIST_SIZE")
-    _add_output_flags(p)
+    p.add_argument("--method", type=_method, default="brute", help="brute | scl:LIST_SIZE")
     p.set_defaults(func=cmd_exact_spectrum)
 
-    p = subs.add_parser("ensemble", help="Monte-Carlo average over random transforms")
-    _add_code_flags(p)
-    p.add_argument("--samples", type=int, required=True)
+    p = subs.add_parser("ensemble", parents=[shared],
+                        help="Monte-Carlo average over random transforms")
+    p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--method", default="brute", help="brute | scl:LIST_SIZE")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--method", type=_method, default="brute", help="brute | scl:LIST_SIZE")
+    # no default: the parser is built once, the variable is read per run
+    p.add_argument("--threads", type=_int_at_least(1),
                    help=f"worker cap (default ${THREADS_ENV} or 1); never changes results")
-    _add_output_flags(p)
     p.set_defaults(func=cmd_ensemble)
     return parser
 
 
-def _construct(args, parser) -> tuple[CodeConfig, str]:
-    spec = args.construction
+def _construct(spec: str, n: int, k: int | None) -> CodeConfig:
     if spec in ("rm", "pw"):
-        if args.k is None:
-            parser.error(f"--k is required with --construction {spec}")
-        builder = construct_rm if spec == "rm" else construct_pw
-        return builder(args.n, args.k), spec
+        if k is None:
+            raise argparse.ArgumentTypeError(f"--k is required with --construction {spec}")
+        return (construct_rm if spec == "rm" else construct_pw)(n, k)
     if spec.startswith("file:"):
-        config = load_info_set(spec[5:], args.n)
-        if args.k is not None and config.k != args.k:
-            raise ValueError(f"info-set file has {config.k} indices, --k says {args.k}")
-        return config, spec
-    parser.error(f"unknown construction {spec!r} (expected rm, pw, or file:PATH)")
-
-
-def _parse_method(text: str, parser) -> tuple[str, int | None]:
-    if text == "brute":
-        return "brute", None
-    if text.startswith("scl:"):
-        try:
-            size = int(text[4:])
-        except ValueError:
-            parser.error(f"bad list size in --method {text!r}")
-        if size < 1:
-            parser.error("scl list size must be >= 1")
-        return "scl", size
-    parser.error(f"unknown method {text!r} (expected brute or scl:LIST_SIZE)")
+        config = load_info_set(spec[5:], n)
+        if k is not None and config.k != k:
+            raise ValueError(f"info-set file has {config.k} indices, --k says {k}")
+        return config
+    raise argparse.ArgumentTypeError(
+        f"unknown construction {spec!r} (expected rm, pw, or file:PATH)"
+    )
 
 
 def _emit(report: SpectrumReport, args) -> int:
@@ -128,13 +135,15 @@ def _emit(report: SpectrumReport, args) -> int:
     return 0
 
 
-def cmd_avg_spectrum(args, parser) -> int:
-    config, label = _construct(args, parser)
+def cmd_avg_spectrum(args) -> int:
+    config = _construct(args.construction, args.n, args.k)
     dmax = args.dmax if args.dmax is not None else config.n
     if not 1 <= dmax <= config.n:
-        parser.error(f"--dmax must be in [1, {config.n}]")
+        raise argparse.ArgumentTypeError(f"--dmax must be in [1, {config.n}]")
     if args.verify and dmax != config.n:
-        parser.error("--verify needs the full spectrum: set --dmax to N (or omit it)")
+        raise argparse.ArgumentTypeError(
+            "--verify needs the full spectrum: set --dmax to N (or omit it)"
+        )
     spec = avg_spectrum(config, dmax)
     if args.verify:
         problems = verify_average(spec)
@@ -142,49 +151,23 @@ def cmd_avg_spectrum(args, parser) -> int:
             for p in problems:
                 print(f"verify: {p}", file=sys.stderr)
             return 1
-    return _emit(report_from_average(config, label, spec, args.round), args)
+    return _emit(report_from_average(config, args.construction, spec, args.round), args)
 
 
-def _parse_transform(text: str, parser):
-    """Returns (descriptor dict, builder(config) -> (config, PreTransform))."""
-    if text == "identity":
-        return {"kind": "identity"}, lambda c: (c, identity_transform(c))
-    if text.startswith("random:"):
-        try:
-            seed = int(text[7:])
-        except ValueError:
-            parser.error(f"bad seed in --transform {text!r}")
-        return {"kind": "random", "seed": seed}, lambda c: (c, random_transform(c, seed))
-    if text.startswith("pac:"):
-        poly = text[4:]
-        return {"kind": "pac", "poly": poly}, lambda c: (c, pac_transform(c, poly))
-    if text.startswith("crc:"):
-        body = text[4:]
-        if "," not in body:
-            parser.error("crc transform needs POLY,KPRIME")
-        poly, kprime_text = body.rsplit(",", 1)
-        try:
-            kprime = int(kprime_text)
-        except ValueError:
-            parser.error(f"bad K' in --transform {text!r}")
-        desc = {"kind": "crc", "poly": poly, "k_outer": kprime}
-        return desc, ("crc", poly, kprime)
-    parser.error(f"unknown transform {text!r}")
-
-
-def cmd_exact_spectrum(args, parser) -> int:
-    desc, builder = _parse_transform(args.transform, parser)
-    method, list_size = _parse_method(args.method, parser)
+def cmd_exact_spectrum(args) -> int:
+    desc, (method, list_size) = args.transform, args.method
+    if desc["kind"] == "crc" and args.k is None:
+        raise argparse.ArgumentTypeError("--k (message bits) is required with a crc transform")
+    # a crc transform keeps --k message bits of the K' = k_outer rows constructed
+    config = _construct(args.construction, args.n, desc.get("k_outer", args.k))
     if desc["kind"] == "crc":
-        _, poly, kprime = builder
-        if args.k is None:
-            parser.error("--k (message bits) is required with a crc transform")
-        outer_args = argparse.Namespace(**{**vars(args), "k": kprime})
-        outer, label = _construct(outer_args, parser)
-        config, transform = crc_transform(outer, args.k, poly)
+        config, transform = crc_transform(config, args.k, desc["poly"])
+    elif desc["kind"] == "random":
+        transform = random_transform(config, desc["seed"])
+    elif desc["kind"] == "pac":
+        transform = pac_transform(config, desc["poly"])
     else:
-        config, label = _construct(args, parser)
-        config, transform = builder(config)
+        transform = identity_transform(config)
     if method == "brute":
         try:
             hist = exact_spectrum(config, transform)
@@ -192,28 +175,24 @@ def cmd_exact_spectrum(args, parser) -> int:
             raise BudgetError(f"{exc}; use --method scl:LIST_SIZE instead") from None
     else:
         hist = collect_low_weight(config, transform, list_size)
-    report = report_from_histogram(
-        config, label, hist, args.round, transform=desc, list_size=list_size
-    )
+    report = report_from_histogram(config, args.construction, hist, args.round,
+                                   transform=desc, list_size=list_size)
     return _emit(report, args)
 
 
-def cmd_ensemble(args, parser) -> int:
-    if args.samples < 1:
-        parser.error("--samples must be >= 1")
-    method, list_size = _parse_method(args.method, parser)
+def cmd_ensemble(args) -> int:
+    method, list_size = args.method
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
-    if threads < 1:
-        parser.error("--threads must be >= 1")
-    config, label = _construct(args, parser)
+        threads = int(os.environ.get(THREADS_ENV, "1"))  # not an integer: exit 1
+        if threads < 1:
+            raise argparse.ArgumentTypeError(f"{THREADS_ENV} must be >= 1, got {threads}")
+    config = _construct(args.construction, args.n, args.k)
     hist = ensemble_average_mc(
         config, args.seed, args.samples, method=method, list_size=list_size, threads=threads
     )
-    report = report_from_histogram(
-        config, label, hist, args.round, transform={"kind": "random"}, list_size=list_size
-    )
+    report = report_from_histogram(config, args.construction, hist, args.round,
+                                   transform={"kind": "random"}, list_size=list_size)
     return _emit(report, args)
 
 
@@ -221,11 +200,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+        return args.func(args)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
+    except (BudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

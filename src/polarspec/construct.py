@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,38 +70,34 @@ def _pw_vector(m: int, i: int) -> tuple[int, int, int, int]:
     return tuple(c)
 
 
-@functools.cache
-def _root4_floors(prec: int) -> tuple[int, int, int]:
-    """floor(2^prec * 2^(r/4)) for r = 1, 2, 3."""
-    return tuple(math.isqrt(math.isqrt(1 << (4 * prec + r))) for r in (1, 2, 3))
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _sign_root2(a: int, c: int) -> int:
+    """Sign of a + c*sqrt(2). Where a and c differ in sign, a - c*sqrt(2)
+    has the sign of a, and the product of the two is a^2 - 2c^2."""
+    if a * c >= 0:
+        return _sign(a + c)
+    return _sign(a) * _sign(a * a - 2 * c * c)
 
 
 def _pw_cmp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """Exact three-way comparison of two polarization-weight scores.
 
-    The coordinate difference is evaluated against interval bounds of
-    2^(r/4) that are refined until the sign is certain. Distinct
-    coordinates always separate: 1, b, b^2, b^3 are linearly independent
-    over the rationals, so only identical coordinate vectors tie.
+    The coordinate difference x = d0 + d1*r + d2*r^2 + d3*r^3, r = 2^(1/4),
+    is p + q*r with p = d0 + d2*sqrt(2) and q = d1 + d3*sqrt(2). Where p and
+    q differ in sign, x has the sign of p times that of
+    (p + q*r)(p - q*r) = p^2 - q^2*sqrt(2), again of the form u + v*sqrt(2).
+    Distinct coordinates always separate: 1, r, r^2, r^3 are linearly
+    independent over the rationals, so only identical vectors tie.
     """
-    d = [x - y for x, y in zip(a, b)]
-    if not any(d):
-        return 0
-    prec = 32
-    while True:
-        lo = hi = d[0] << prec
-        for dr, t in zip(d[1:], _root4_floors(prec)):
-            if dr >= 0:
-                lo += dr * t
-                hi += dr * (t + 1)
-            else:
-                lo += dr * (t + 1)
-                hi += dr * t
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        prec *= 2
+    d0, d1, d2, d3 = (x - y for x, y in zip(a, b))
+    sp, sq = _sign_root2(d0, d2), _sign_root2(d1, d3)
+    if sp * sq >= 0:
+        return sp or sq
+    return sp * _sign_root2(d0 * d0 + 2 * d2 * d2 - 4 * d1 * d3,
+                            2 * d0 * d2 - d1 * d1 - 2 * d3 * d3)
 
 
 @functools.cache

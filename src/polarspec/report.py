@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import operator
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -117,6 +118,10 @@ def _code_block(config: CodeConfig, construction: str) -> dict:
     }
 
 
+def _exact(val: DyadicRational, digits: int) -> dict:
+    return {"num": str(val.num), "exp2": val.exp, "value": val.decimal(digits)}
+
+
 def _fmt(x: float, digits: int) -> str:
     if digits < 0:
         raise ValueError("digits must be >= 0")
@@ -130,12 +135,7 @@ def report_from_average(
     digits: int = 6,
 ) -> SpectrumReport:
     """Report for the exact recursion output, one entry per weight."""
-    entries = []
-    for d in sorted(spec.entries):
-        val: DyadicRational = spec.entries[d]
-        entries.append(
-            {"d": d, "num": str(val.num), "exp2": val.exp, "value": val.decimal(digits)}
-        )
+    entries = [{"d": d, **_exact(spec.entries[d], digits)} for d in sorted(spec.entries)]
     return SpectrumReport(_code_block(config, construction), "recursion", entries)
 
 
@@ -159,10 +159,9 @@ def report_from_histogram(
             e["value"] = _fmt(c, digits)
             e["variance"] = _fmt(hist.variance[d], digits)
             e["samples"] = hist.samples
-        elif isinstance(c, DyadicRational):
-            e.update({"num": str(c.num), "exp2": c.exp, "value": c.decimal(digits)})
         else:
-            e.update({"num": str(c), "exp2": 0, "value": _fmt(float(c), digits)})
+            exact = c if isinstance(c, DyadicRational) else DyadicRational(operator.index(c))
+            e.update(_exact(exact, digits))
         if hist.saturated is not None:
             e["saturated"] = bool(hist.saturated[d])
         entries.append(e)

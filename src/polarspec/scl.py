@@ -103,6 +103,8 @@ def _gathered(arrays: list, maps: list, d: int) -> np.ndarray:
 
 
 def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
+    if list_size < 1:
+        raise ValueError("list_size must be >= 1")
     m, n = config.m, config.n
     info = set(config.info_set)
     words = _wordcount(n)
@@ -235,8 +237,6 @@ def scl_decode(
     overflowed. Codeword weights strictly below the boundary are
     guaranteed complete in the returned list.
     """
-    if list_size < 1:
-        raise ValueError("list_size must be >= 1")
     metric, codewords, prune_bound = _decode_arrays(config, transform, list_size)
     bits = codewords.T  # (N, P): a row per position
     u = _inverse_transform(bits, config.m)
@@ -267,8 +267,6 @@ def collect_low_weight(
     beaten) is excluded. saturated[d] is True where d reached the
     pruning boundary, i.e. counts[d] must be read as a lower bound.
     """
-    if list_size < 1:
-        raise ValueError("list_size must be >= 1")
     metric, _, prune_bound = _decode_arrays(config, transform, list_size)
     n = config.n
     counts = np.bincount(metric, minlength=n + 1)[: n + 1]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .construct import CodeConfig, min_row_weight
 from .dyadic import DyadicRational
-from .kernel import row_weight
+from .kernel import _check_index, row_weight
 
 __all__ = [
     "CosetSpectrum",
@@ -140,16 +140,9 @@ def _weighted_sum(level: int, rows: list[tuple[int, int]], d_max: int) -> list[i
     return out
 
 
-def _check(m: int, i: int) -> None:
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not 1 <= i <= (1 << m):
-        raise ValueError(f"index {i} outside [1, {1 << m}]")
-
-
 def coset_spectrum(m: int, i: int, d_max: int | None = None) -> CosetSpectrum:
     """Exact weight counts of coset i at length 2^m, up to weight d_max."""
-    _check(m, i)
+    _check_index(m, i)
     n = 1 << m
     if d_max is None:
         d_max = n
@@ -171,7 +164,7 @@ def p_min(m: int, i: int) -> DyadicRational:
     multiplies by 2^w / 2^(half). Kept as a separate code path from the
     full spectrum so the two can cross-check each other.
     """
-    _check(m, i)
+    _check_index(m, i)
     e, idx = 0, i
     for level in range(m, 1, -1):
         half = 1 << (level - 1)

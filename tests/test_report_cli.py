@@ -1,8 +1,10 @@
 import json
 import math
 from collections import OrderedDict
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -62,6 +64,12 @@ class TestReportObjects:
         assert rep.method == "brute"
         assert rep.entries[0] == {"d": 0, "num": "1", "exp2": 0, "value": "1.000000"}
         assert all("variance" not in e and "saturated" not in e for e in rep.entries)
+
+    def test_histogram_report_numpy_counts(self):
+        cfg = construct_pw(8, 4)
+        hist = exact_spectrum(cfg, identity_transform(cfg))
+        as_numpy = replace(hist, counts=tuple(np.array(hist.counts, dtype=np.int64)))
+        assert report_from_histogram(cfg, "pw", as_numpy) == report_from_histogram(cfg, "pw", hist)
 
     def test_histogram_report_mc(self):
         cfg = construct_pw(8, 4)
@@ -429,6 +437,38 @@ class TestEnsembleCommand:
         monkeypatch.setenv(THREADS_ENV, "3")
         rc, out, _ = run(capsys, *argv)
         assert rc == 0 and out == base
+
+    def test_threads_env_is_read_on_every_run(self, capsys, monkeypatch):
+        # the parser is built once per process, so a default taken while
+        # building it would keep the first value of the variable
+        import polarspec.cli
+
+        seen = []
+
+        def recording(*args, threads, **kwargs):
+            seen.append(threads)
+            return ensemble_average_mc(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(polarspec.cli, "ensemble_average_mc", recording)
+        argv = ["ensemble", "--n", "8", "--k", "4", "--construction", "pw",
+                "--samples", "2"]
+        monkeypatch.setenv(THREADS_ENV, "3")
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, *argv, "--threads", "2")[0] == 0
+        monkeypatch.setenv(THREADS_ENV, "5")
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.delenv(THREADS_ENV)
+        assert run(capsys, *argv)[0] == 0
+        assert seen == [3, 2, 5, 1]
+
+    def test_bad_threads_env(self, capsys, monkeypatch):
+        argv = ["ensemble", "--n", "8", "--k", "4", "--construction", "pw",
+                "--samples", "2"]
+        monkeypatch.setenv(THREADS_ENV, "many")
+        rc, _, err = run(capsys, *argv)
+        assert rc == 1 and "error:" in err
+        monkeypatch.setenv(THREADS_ENV, "0")
+        assert THREADS_ENV in run_usage_error(capsys, *argv)
 
     def test_scl_method_carries_saturation(self, capsys):
         rc, out, _ = run(
