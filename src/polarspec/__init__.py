@@ -2,7 +2,7 @@
 
 from .construct import CodeConfig, construct_pw, construct_rm, load_info_set, min_row_weight
 from .dyadic import DyadicRational
-from .kernel import BitRow, encode, kron_row, row_weight
+from .kernel import encode, row_bits, row_weight
 from .oracle import (
     BudgetError,
     WeightHistogram,
@@ -39,7 +39,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AverageSpectrum",
-    "BitRow",
     "BudgetError",
     "CodeConfig",
     "CosetSpectrum",
@@ -63,7 +62,6 @@ __all__ = [
     "exact_spectrum",
     "free_entry_count",
     "identity_transform",
-    "kron_row",
     "load_info_set",
     "min_row_weight",
     "p_exact",
@@ -74,6 +72,7 @@ __all__ = [
     "random_transform",
     "report_from_average",
     "report_from_histogram",
+    "row_bits",
     "row_weight",
     "scl_decode",
     "transform_from_bits",

@@ -184,7 +184,11 @@ def cmd_ensemble(args) -> int:
     method, list_size = args.method
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))  # not an integer: exit 1
+        raw = os.environ.get(THREADS_ENV, "1")
+        try:
+            threads = int(raw)
+        except ValueError:  # exit 1, not a usage error: the value is not a flag
+            raise ValueError(f"{THREADS_ENV}={raw!r} is not an integer") from None
         if threads < 1:
             raise argparse.ArgumentTypeError(f"{THREADS_ENV} must be >= 1, got {threads}")
     config = _construct(args.construction, args.n, args.k)

@@ -7,6 +7,7 @@ weights where floats underflow and counts overflow 64 bits.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 __all__ = ["DyadicRational"]
@@ -25,6 +26,8 @@ class DyadicRational:
     __slots__ = ("num", "exp")
 
     def __init__(self, num: int, exp: int = 0):
+        # any integer type, numpy's included; a float raises TypeError
+        num, exp = operator.index(num), operator.index(exp)
         if num < 0:
             raise ValueError("negative numerator")
         if exp < 0:

@@ -1,66 +1,20 @@
 """Bit-level algebra of the binary polar transform.
 
-Rows and codewords are bit-packed into Python ints: bit j-1 of the word is
-vector position j (1-based positions throughout). Weights come from
+Every bit vector is a packed Python int: bit j-1 of the word is vector
+position j (1-based positions throughout). Rows of F_N, inputs u and
+codewords u * T * F_N all take this form; weights come from
 ``int.bit_count``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+import functools
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .pretransform import PreTransform
 
-__all__ = ["BitRow", "kron_row", "row_weight", "encode"]
-
-
-@dataclass(frozen=True, slots=True)
-class BitRow:
-    """A fixed-length binary row vector, packed LSB-first into an int."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.n & (self.n - 1):
-            raise ValueError(f"length {self.n} is not a power of two")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError("bit pattern wider than declared length")
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "BitRow":
-        word = 0
-        for pos, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError(f"non-binary entry {b!r} at position {pos + 1}")
-            word |= b << pos
-        return cls(word, len(bits))
-
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def __getitem__(self, pos: int) -> int:
-        """Bit at 1-based position ``pos``."""
-        if not 1 <= pos <= self.n:
-            raise IndexError(f"position {pos} outside [1, {self.n}]")
-        return (self.bits >> (pos - 1)) & 1
-
-    def __xor__(self, other: "BitRow") -> "BitRow":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitRow(self.bits ^ other.bits, self.n)
-
-    def to_tuple(self) -> tuple[int, ...]:
-        return tuple((self.bits >> p) & 1 for p in range(self.n))
-
-    def __iter__(self):
-        return iter(self.to_tuple())
-
-    def __len__(self) -> int:
-        return self.n
+__all__ = ["row_bits", "row_weight", "encode"]
 
 
 def _check_index(m: int, i: int) -> None:
@@ -68,6 +22,11 @@ def _check_index(m: int, i: int) -> None:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 1 <= i <= (1 << m):
         raise ValueError(f"row index {i} outside [1, {1 << m}]")
+
+
+def _check_transform(transform: "PreTransform", n: int) -> None:
+    if transform.n != n:
+        raise ValueError(f"transform size {transform.n} != {n}")
 
 
 def row_bits(m: int, i: int) -> int:
@@ -84,56 +43,50 @@ def row_bits(m: int, i: int) -> int:
     return r
 
 
-def kron_row(m: int, i: int) -> BitRow:
-    """The i-th row of the N x N polar transform, N = 2^m."""
-    return BitRow(row_bits(m, i), 1 << m)
-
-
 def row_weight(m: int, i: int) -> int:
-    """Hamming weight of kron_row(m, i); equals 2^popcount(i-1)."""
+    """Hamming weight of row_bits(m, i); equals 2^popcount(i-1)."""
     _check_index(m, i)
     return 1 << (i - 1).bit_count()
 
 
+@functools.cache
+def _stage_masks(m: int) -> tuple[int, ...]:
+    # stage s keeps the positions whose 0-based index has bit s clear:
+    # runs of 2^s ones every 2^(s+1) bits, N bits in all. ones // (2^P - 1)
+    # sets the lowest bit of every P-bit period.
+    ones = (1 << (1 << m)) - 1
+    return tuple(ones // ((1 << (2 << s)) - 1) * ((1 << (1 << s)) - 1) for s in range(m))
+
+
 def polar_transform(bits: int, m: int) -> int:
-    """XOR of the rows of F_N that the packed ``bits`` select: bits * F_N.
+    """bits * F_N for a packed row vector, N = 2^m.
 
-    F_N is its own inverse over GF(2), so applying this twice returns
-    ``bits``.
+    Row i of F_N covers the positions j whose j-1 is a bitwise subset of
+    i-1, so output bit j is the XOR of the input bits at every such i:
+    one butterfly stage per index bit. F_N is its own inverse over GF(2),
+    so applying this twice returns ``bits``, which must be below 2^N.
     """
-    x = 0
-    while bits:
-        low = bits & -bits
-        x ^= row_bits(m, low.bit_length())
-        bits ^= low
-    return x
+    for s, mask in enumerate(_stage_masks(m)):
+        bits ^= (bits >> (1 << s)) & mask
+    return bits
 
 
-def encode(u: Sequence[int] | BitRow, transform: "PreTransform", m: int) -> BitRow:
-    """Encode u through the pre-transform and the polar transform.
+def encode(u: int, transform: "PreTransform", m: int) -> int:
+    """Codeword u * T * F_N over GF(2), packed.
 
-    ``u`` must be zero outside the information set the transform was built
-    for. Returns the codeword u * T * F_N over GF(2).
+    ``u`` must be zero outside the information set the transform was
+    built for.
     """
     n = 1 << m
-    if isinstance(u, BitRow):
-        if u.n != n:
-            raise ValueError(f"input length {u.n} != {n}")
-        word = u.bits
-    else:
-        if len(u) != n:
-            raise ValueError(f"input length {len(u)} != {n}")
-        word = BitRow.from_bits(u).bits
-    if transform.n != n:
-        raise ValueError(f"transform size {transform.n} != {n}")
-
-    v = 0  # u * T, packed
-    rest = word
+    if u < 0 or u >> n:
+        raise ValueError(f"input wider than {n} bits")
+    _check_transform(transform, n)
+    v = 0  # u * T
+    rest = u
     while rest:
         i = (rest & -rest).bit_length()  # lowest set 1-based position
         rest &= rest - 1
-        mask = transform.rows.get(i)
-        if mask is None:
+        if i not in transform.rows:
             raise ValueError(f"nonzero bit at frozen position {i}")
-        v ^= (1 << (i - 1)) | mask
-    return BitRow(polar_transform(v, m), n)
+        v ^= transform.full_row(i)
+    return polar_transform(v, m)

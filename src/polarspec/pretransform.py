@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .construct import CodeConfig
 
@@ -137,33 +136,17 @@ def random_transform(config: CodeConfig, seed: int) -> PreTransform:
     return transform_from_bits(config, SplitMix64(seed).bits(free_entry_count(config)))
 
 
-def _coeffs_of(poly: int) -> tuple[int, ...]:
-    # MSB of the integer is c_0
-    deg = poly.bit_length() - 1
-    return tuple(poly >> (deg - j) & 1 for j in range(deg + 1))
-
-
-def pac_transform(config: CodeConfig, conv_coeffs: Sequence[int] | str | int) -> PreTransform:
+def pac_transform(config: CodeConfig, conv_coeffs: str | int) -> PreTransform:
     """Toeplitz convolution transform: T_{i,i+j} = c_j for every row i.
 
-    conv_coeffs is c_0..c_L (c_0 must be 1), given as a bit sequence, a
-    binary/hex string (leading coefficient first), or an integer whose
-    most significant bit is c_0.
+    conv_coeffs is c_0..c_L in any form parse_poly accepts: a binary or
+    hex string with c_0 first, or an integer whose most significant bit
+    is c_0. That bit is set in every such value, so c_0 = 1 always holds.
     """
-    if isinstance(conv_coeffs, str):
-        conv_coeffs = parse_poly(conv_coeffs)
-    if isinstance(conv_coeffs, int):
-        coeffs = _coeffs_of(conv_coeffs)
-    else:
-        coeffs = tuple(conv_coeffs)
-    if not coeffs or coeffs[0] != 1:
-        raise ValueError("convolution coefficients must start with c_0 = 1")
-    if any(c not in (0, 1) for c in coeffs):
-        raise ValueError("convolution coefficients must be 0/1")
+    poly = parse_poly(conv_coeffs)
+    # reversed, bit j is c_j; bit 0 (c_0) is the implicit diagonal
+    template = int(f"{poly:b}"[::-1], 2) & ~1
     n = config.n
-    template = 0
-    for j, c in enumerate(coeffs[1:], start=1):
-        template |= c << j
     full = (1 << n) - 1
     return PreTransform(n, {i: (template << (i - 1)) & full for i in config.info_set})
 

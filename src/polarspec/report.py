@@ -13,7 +13,6 @@ import csv
 import functools
 import io
 import json
-import operator
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -160,7 +159,7 @@ def report_from_histogram(
             e["variance"] = _fmt(hist.variance[d], digits)
             e["samples"] = hist.samples
         else:
-            exact = c if isinstance(c, DyadicRational) else DyadicRational(operator.index(c))
+            exact = c if isinstance(c, DyadicRational) else DyadicRational(c)
             e.update(_exact(exact, digits))
         if hist.saturated is not None:
             e["saturated"] = bool(hist.saturated[d])

@@ -19,7 +19,7 @@ so results are reproducible bit-for-bit at any block length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .construct import CodeConfig, min_row_weight
 from .dyadic import DyadicRational
@@ -65,7 +65,7 @@ class AverageSpectrum:
     """Ensemble-average codeword counts E[N_d] for d = 1..d_max."""
 
     config: CodeConfig
-    entries: dict[int, DyadicRational] = field(compare=False)
+    entries: dict[int, DyadicRational]
 
     def __getitem__(self, d: int) -> DyadicRational:
         return self.entries[d]

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,6 +28,15 @@ def test_negative_inputs_rejected():
         DyadicRational(-1, 0)
     with pytest.raises(ValueError):
         DyadicRational(1, -2)
+
+
+def test_numpy_integers_accepted_floats_rejected():
+    assert DyadicRational(np.int64(4)) == DyadicRational(4)
+    assert DyadicRational(np.uint8(6), np.int64(2)) == DyadicRational(3, 1)
+    with pytest.raises(TypeError):
+        DyadicRational(4.0)
+    with pytest.raises(TypeError):
+        DyadicRational(4, 1.0)
 
 
 def test_add_aligns_exponents():

@@ -35,14 +35,14 @@ from polarspec.spectrum import avg_spectrum
 
 
 def naive_spectrum(config: CodeConfig, transform: PreTransform) -> list[int]:
-    """Pure-int message sweep through kernel.encode; no numpy, no packing."""
+    """Pure-int message sweep through kernel.encode; no numpy."""
     n, k = config.n, config.k
     hist = [0] * (n + 1)
     for msg in range(1 << k):
-        u = [0] * n
+        u = 0
         for j, i in enumerate(config.info_set):
-            u[i - 1] = msg >> j & 1
-        hist[encode(u, transform, config.m).weight] += 1
+            u |= (msg >> j & 1) << (i - 1)
+        hist[encode(u, transform, config.m).bit_count()] += 1
     return hist
 
 

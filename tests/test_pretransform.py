@@ -193,8 +193,7 @@ class TestPacTransform:
         cfg = construct_pw(16, 8)
         a = pac_transform(cfg, "10111")
         b = pac_transform(cfg, 0b10111)
-        c = pac_transform(cfg, (1, 0, 1, 1, 1))
-        assert a == b == c
+        assert a == b
 
     def test_identity_special_case(self):
         cfg = construct_pw(8, 4)
@@ -203,11 +202,11 @@ class TestPacTransform:
     def test_rejects_bad_coefficients(self):
         cfg = construct_pw(8, 4)
         with pytest.raises(ValueError):
-            pac_transform(cfg, (0, 1, 1))
+            pac_transform(cfg, "011")
         with pytest.raises(ValueError):
-            pac_transform(cfg, (1, 2))
+            pac_transform(cfg, "12")
         with pytest.raises(ValueError):
-            pac_transform(cfg, ())
+            pac_transform(cfg, "")
 
 
 def _poly_mod(num: int, g: int) -> int:

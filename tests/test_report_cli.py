@@ -467,6 +467,7 @@ class TestEnsembleCommand:
         monkeypatch.setenv(THREADS_ENV, "many")
         rc, _, err = run(capsys, *argv)
         assert rc == 1 and "error:" in err
+        assert THREADS_ENV in err and "many" in err
         monkeypatch.setenv(THREADS_ENV, "0")
         assert THREADS_ENV in run_usage_error(capsys, *argv)
 

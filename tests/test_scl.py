@@ -120,10 +120,10 @@ class TestSclDecode:
                 if bit:
                     x ^= row_bits(cfg.m, pos)
             assert x == p.codeword
-            uvec = [0] * cfg.n
+            uvec = 0
             for b, i in zip(p.message, cfg.info_set):
-                uvec[i - 1] = b
-            assert encode(uvec, t, cfg.m).bits == p.codeword
+                uvec |= b << (i - 1)
+            assert encode(uvec, t, cfg.m) == p.codeword
 
     def test_distinct_messages(self):
         cfg = construct_pw(16, 8)
@@ -186,6 +186,18 @@ class TestCollectLowWeight:
         t2 = pac_transform(cfg2, "1011")
         h2 = collect_low_weight(cfg2, t2, 1 << 7)
         assert h2.counts[1:] == brute_counts(cfg2, t2)[1:]
+
+    def test_transform_of_another_length_is_rejected(self):
+        # every fixed-code route, not only encode, checks T against N
+        cfg = construct_pw(16, 8)
+        t = random_transform(construct_pw(32, 16), 1)
+        for route in (
+            lambda: exact_spectrum(cfg, t),
+            lambda: collect_low_weight(cfg, t, 64),
+            lambda: scl_decode(cfg, t, 64),
+        ):
+            with pytest.raises(ValueError, match="transform size 32 != 16"):
+                route()
 
     def test_truncated_list_never_overcounts(self):
         cfg = construct_pw(16, 8)

@@ -128,6 +128,11 @@ class TestAverageSpectrum:
         assert part.d_max == 10
         assert all(part[d] == full[d] for d in range(1, 11))
 
+    def test_equality_compares_entries(self):
+        cfg = construct_pw(16, 8)
+        assert avg_spectrum(cfg, d_max=5) != avg_spectrum(cfg)
+        assert avg_spectrum(cfg, d_max=5) == avg_spectrum(cfg, d_max=5)
+
     def test_single_row_code(self):
         # K = 1: the one info row alone, no pre-transform freedom above it
         cfg = CodeConfig(3, (8,))
