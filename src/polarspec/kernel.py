@@ -12,6 +12,7 @@ import functools
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from .construct import CodeConfig
     from .pretransform import PreTransform
 
 __all__ = ["row_bits", "row_weight", "encode"]
@@ -27,6 +28,17 @@ def _check_index(m: int, i: int) -> None:
 def _check_transform(transform: "PreTransform", n: int) -> None:
     if transform.n != n:
         raise ValueError(f"transform size {transform.n} != {n}")
+
+
+def _check_code_transform(config: "CodeConfig", transform: "PreTransform") -> None:
+    # a missing row would read as the identity and a stray one be ignored,
+    # so a transform built for another information set must not pass
+    _check_transform(transform, config.n)
+    stray = set(transform.rows) ^ set(config.info_set)
+    if stray:
+        i = min(stray)
+        what = "a row for frozen" if i in transform.rows else "no row for information"
+        raise ValueError(f"transform has {what} index {i}")
 
 
 def row_bits(m: int, i: int) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .construct import CodeConfig
 from .dyadic import DyadicRational
-from .kernel import _check_transform, polar_transform, row_bits
+from .kernel import _check_code_transform, polar_transform, row_bits
 from .pretransform import (
     PreTransform,
     derive_seeds,
@@ -87,7 +87,7 @@ def _to_words(x: int, words: int) -> np.ndarray:
 
 def generator_rows(config: CodeConfig, transform: PreTransform) -> list[int]:
     """Rows of T·F for the information indices, packed LSB-first."""
-    _check_transform(transform, config.n)
+    _check_code_transform(config, transform)
     return [polar_transform(transform.full_row(i), config.m) for i in config.info_set]
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import CodeConfig
-from .kernel import _check_transform
+from .kernel import _check_code_transform
 from .oracle import WeightHistogram, _to_words, _wordcount
 from .pretransform import PreTransform
 
@@ -107,7 +107,7 @@ def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
     if list_size < 1:
         raise ValueError("list_size must be >= 1")
     m, n = config.m, config.n
-    _check_transform(transform, n)
+    _check_code_transform(config, transform)
     info = set(config.info_set)
     words = _wordcount(n)
     trow = {

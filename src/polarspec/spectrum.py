@@ -12,14 +12,26 @@ n/2 only; coset n is the all-ones word alone. Every coset has one weight
 parity, odd for i = 1 and even otherwise, so the low map runs on each
 parity of S apart, over every other degree.
 
+A truncated sum skips what cannot reach d_max. A coset's lightest member
+is its row, of weight 2^popcount(i - 1), so rows heavier than d_max are
+dropped once, at entry; descending keeps every row within its branch's
+d_max, and only branches holding a row reach the maps. Rows keep their
+indices: a branch is a contiguous range of the ascending rows, split at
+its midpoint by bisection. Branches of length 2^TABLE_LEVEL and below
+read their cosets' full enumerators from one table, built once with the
+same two maps.
+
 Everything here is integer or dyadic arithmetic; no floats are involved,
 so results are reproducible bit-for-bit at any block length.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .construct import CodeConfig, min_row_weight
 from .dyadic import DyadicRational
@@ -35,6 +47,8 @@ __all__ = [
     "avg_nmin",
     "verify_average",
 ]
+
+TABLE_LEVEL = 4  # branches of length <= 2^TABLE_LEVEL sum table rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,35 +122,69 @@ def _add_low_map(out: list[int], a: list[int], half: int) -> None:
                 out[seg] = [o + x * b for o, b in zip(out[seg], binom)]
 
 
+@functools.cache
+def _coset_table(level: int) -> tuple[tuple[int, ...], ...]:
+    """Full enumerators S_1..S_n of the cosets at length n = 2^level,
+    built from the level below with the recursion's two maps."""
+    if level == 0:
+        return ((0, 1),)  # the single coset {1}
+    half = 1 << (level - 1)
+    low, high = [], []
+    for s in _coset_table(level - 1):
+        out = [0] * (2 * half + 1)
+        _add_low_map(out, list(s), half)
+        low.append(tuple(out))
+        out = [0] * (2 * half + 1)
+        out[::2] = s
+        high.append(tuple(out))
+    return tuple(low + high)
+
+
 def _weighted_sum(level: int, rows: list[tuple[int, int]], d_max: int) -> list[int]:
     """Coefficients 0..d_max of the sum of w * S_i over (i, w) in rows.
 
-    S_i is the weight enumerator of coset i at length n = 2^level. Cosets
-    i < n hold the complement of each member and coset n is the all-ones
-    word alone, so above n/2 the sum is the mirror of degrees 0..n/2 plus
-    row n's weight at x^n. Up to n/2, each half's rows are summed in one
-    call a level down and mapped once: O(N^2) coefficient operations for
-    a full spectrum. Rows ascend by index.
+    S_i is the weight enumerator of coset i at length 2^level; rows ascend
+    by index. Coset i has no member lighter than row i, so rows heavier
+    than d_max add nothing and are dropped here, once.
     """
-    if level == 0:
-        return [0, rows[0][1]][: d_max + 1]  # the single coset {1}
+    light = [(i, w) for i, w in rows if 1 << (i - 1).bit_count() <= d_max]
+    return _branch_sum(level, 0, light, d_max)
+
+
+def _branch_sum(level: int, base: int, rows: list[tuple[int, int]], d_max: int) -> list[int]:
+    """_weighted_sum over the branch of length n = 2^level that holds rows
+    base + 1..base + n, with row i standing for coset i - base.
+
+    Every row is at most d_max heavy within the branch: the high half
+    halves both its rows' weights and d_max, the low half keeps both, and
+    the mirror drops row n, the one row heavier than n/2. At TABLE_LEVEL
+    and below the sum reads the table. Above it, cosets i < n hold the
+    complement of each member and coset n is the all-ones word alone, so
+    above n/2 the sum is the mirror of degrees 0..n/2 plus row n's weight
+    at x^n. Up to n/2, each half's rows are summed in one call a level
+    down and mapped once: O(N^2) coefficient operations for a full
+    spectrum, and a truncated one visits only branches holding a row.
+    """
+    if level <= TABLE_LEVEL:
+        table = _coset_table(level)
+        out = [0] * (d_max + 1)
+        for i, w in rows:
+            out = [o + w * c for o, c in zip(out, table[i - base - 1])]
+        return out
     n, half = 1 << level, 1 << (level - 1)
     if d_max > half:
-        out = _weighted_sum(level, rows, half)
+        top = bisect_left(rows, base + n, key=itemgetter(0))  # rows[top] is row n if present
+        out = _branch_sum(level, base, rows[:top], half)
         out += out[n - d_max : half][::-1]  # out[d] = out[n - d] for half < d <= d_max
         if d_max == n:
-            i, w = rows[-1]  # rows ascend, so row n is the last if present
-            out[n] = w if i == n else 0
+            out[n] = rows[top][1] if top < len(rows) else 0
         return out
     out = [0] * (d_max + 1)
-    if min(1 << (i - 1).bit_count() for i, _ in rows) > d_max:
-        return out  # every row of the branch is heavier than d_max
-    low = [(i, w) for i, w in rows if i <= half]
-    high = [(i - half, w) for i, w in rows if i > half]
-    if high:
-        out[::2] = _weighted_sum(level - 1, high, d_max >> 1)
-    if low:
-        _add_low_map(out, _weighted_sum(level - 1, low, d_max), half)
+    mid = bisect_right(rows, base + half, key=itemgetter(0))
+    if mid < len(rows):
+        out[::2] = _branch_sum(level - 1, base + half, rows[mid:], d_max >> 1)
+    if mid:
+        _add_low_map(out, _branch_sum(level - 1, base, rows[:mid], d_max), half)
     return out
 
 

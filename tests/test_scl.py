@@ -199,6 +199,22 @@ class TestCollectLowWeight:
             with pytest.raises(ValueError, match="transform size 32 != 16"):
                 route()
 
+    @pytest.mark.parametrize(
+        "built_k,code_k,message",
+        [(4, 8, "no row for information index"), (8, 4, "a row for frozen index")],
+    )
+    def test_transform_of_another_information_set_is_rejected(self, built_k, code_k, message):
+        # a missing row would read as the identity and a stray one be ignored
+        cfg = construct_pw(16, code_k)
+        t = random_transform(construct_pw(16, built_k), 1)
+        for route in (
+            lambda: exact_spectrum(cfg, t),
+            lambda: collect_low_weight(cfg, t, 64),
+            lambda: scl_decode(cfg, t, 64),
+        ):
+            with pytest.raises(ValueError, match=f"transform has {message} "):
+                route()
+
     def test_truncated_list_never_overcounts(self):
         cfg = construct_pw(16, 8)
         t = random_transform(cfg, 6)
