@@ -7,12 +7,14 @@ weights where floats underflow and counts overflow 64 bits.
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 
 __all__ = ["DyadicRational"]
 
 
+@functools.total_ordering
 class DyadicRational:
     """num / 2^exp with num >= 0 and exp >= 0, kept in lowest terms.
 
@@ -88,16 +90,6 @@ class DyadicRational:
 
     __rmul__ = __mul__
 
-    def _cmp_key(self, other) -> tuple[int, int] | None:
-        """Numerators of self and other over one power of two; None if other
-        is neither a DyadicRational nor an int."""
-        if isinstance(other, DyadicRational):
-            e = max(self.exp, other.exp)
-            return self.num << (e - self.exp), other.num << (e - other.exp)
-        if isinstance(other, int):
-            return self.num, other << self.exp
-        return None
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.exp == 0 and self.num == other
@@ -106,20 +98,13 @@ class DyadicRational:
         return self.num == other.num and self.exp == other.exp
 
     def __lt__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else key[0] < key[1]
-
-    def __le__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else key[0] <= key[1]
-
-    def __gt__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else key[0] > key[1]
-
-    def __ge__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else key[0] >= key[1]
+        # compare numerators over one power of two
+        if isinstance(other, DyadicRational):
+            e = max(self.exp, other.exp)
+            return self.num << (e - self.exp) < other.num << (e - other.exp)
+        if isinstance(other, int):
+            return self.num < other << self.exp
+        return NotImplemented
 
     def __hash__(self):
         # an integer value hashes as the int it equals

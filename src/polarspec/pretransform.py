@@ -110,6 +110,8 @@ def transform_from_bits(config: CodeConfig, bits: int) -> PreTransform:
     within a row, least significant bit first. Sweeping bits over
     [0, 2^F) therefore visits every ensemble member exactly once.
     """
+    if bits < 0:
+        raise ValueError(f"free-entry bits must be >= 0, got {bits}")
     n = config.n
     rows: dict[int, int] = {}
     pos = 0

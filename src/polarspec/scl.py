@@ -18,13 +18,14 @@ dynamic-frozen values are bit-packed, (P, ceil(N/64)) uint64 words,
 gathered at each decision. Survivors are selected by counting metrics,
 not by sorting. scl_decode derives u (codeword * F_N, a butterfly) and
 the message (forward substitution through T) after decoding, for all
-paths at once.
+paths at once, and hands u, the message and the codeword back as packed
+ints (bit j-1 is position j, as in kernel); the paths come out in
+lexicographic order of u_1..u_N.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,13 +47,16 @@ __all__ = [
 class DecoderPath:
     """One surviving path: transform-input decisions and their cost.
 
-    u is the full polar-transform input v_1..v_N (frozen positions carry
-    their forced dynamic values), message is the K information bits with
-    the pre-transform removed, and metric equals the codeword weight.
+    Every bit vector is a packed int, bit j-1 holding position j. u is the
+    full polar-transform input v_1..v_N (frozen positions carry their
+    forced dynamic values), so ``kernel.polar_transform(u, m) ==
+    codeword``. message is the encoder input: each information bit at its
+    index, zero elsewhere, so ``encode(message, transform, m) ==
+    codeword``. metric equals the codeword weight.
     """
 
-    u: tuple[int, ...]
-    message: tuple[int, ...]
+    u: int
+    message: int
     metric: int
     codeword: int
 
@@ -121,9 +125,10 @@ def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
     chan = np.ones((n, 1), dtype=dtype)
     # depth d = 1..m: (N>>d, S) arrays, a column per stored path copy, and
     # a map from the current paths to the columns (None for the identity);
-    # a decision composes the maps, a read gathers the columns
-    llr = [None] + [np.zeros((n >> d, 1), dtype=dtype) for d in range(1, m + 1)]
-    left = [None] + [np.zeros((n >> d, 1), dtype=np.uint8) for d in range(1, m + 1)]
+    # a decision composes the maps, a read gathers the columns. Each depth
+    # is written before its first read: llr at t = 0, left[d] by a fold.
+    llr = [None] * (m + 1)
+    left = [None] * (m + 1)
     llr_map = [None] * (m + 1)
     left_map = [None] * (m + 1)
     acc = np.zeros((1, words), dtype=np.uint64)  # pending dynamic-frozen values, packed
@@ -223,10 +228,16 @@ def _messages(u: np.ndarray, config: CodeConfig, transform: PreTransform) -> np.
     return msg
 
 
-def _per_path(rows: np.ndarray):
-    # column p of an (X, P) uint8 array as a tuple of ints, for every path p
-    buf = np.ascontiguousarray(rows.T).tobytes()
-    return struct.iter_unpack(f"{rows.shape[0]}B", buf)
+def _pack(rows: np.ndarray) -> list[int]:
+    # column p of an (X, P) bit array as one packed int per path, bit r = row r:
+    # bytes, then little-endian uint64 words, joined from the top word down
+    packed = np.packbits(rows, axis=0, bitorder="little")
+    packed = np.pad(packed, ((0, -len(packed) % 8), (0, 0)))
+    words = np.ascontiguousarray(packed.T).view("<u8")
+    out = words[:, -1].tolist()
+    for w in range(words.shape[1] - 2, -1, -1):
+        out = [hi << 64 | lo for hi, lo in zip(out, words[:, w].tolist())]
+    return out
 
 
 def scl_decode(
@@ -234,28 +245,20 @@ def scl_decode(
 ) -> tuple[list[DecoderPath], float]:
     """Run the collector and materialize the surviving paths.
 
-    Returns the final list (lexicographic u order) and the pruning
-    boundary: the smallest metric ever discarded, +inf if the list never
-    overflowed. Codeword weights strictly below the boundary are
-    guaranteed complete in the returned list.
+    Returns the final list, in lexicographic order of u_1..u_N, and the
+    pruning boundary: the smallest metric ever discarded, +inf if the list
+    never overflowed. Codeword weights strictly below the boundary are
+    guaranteed complete in the returned list. Each path's bit vectors are
+    packed ints; see DecoderPath.
     """
     metric, codewords, prune_bound = _decode_arrays(config, transform, list_size)
     bits = codewords.T  # (N, P): a row per position
     u = _inverse_transform(bits, config.m)
-    packed = np.packbits(bits, axis=0, bitorder="little")
+    msg = np.zeros_like(u)
+    msg[np.array(config.info_set) - 1] = _messages(u, config, transform)
     out = [
-        DecoderPath(
-            u=ub,
-            message=mb,
-            metric=w,
-            codeword=int.from_bytes(bytes(cb), "little"),
-        )
-        for ub, mb, w, cb in zip(
-            _per_path(u),
-            _per_path(_messages(u, config, transform)),
-            metric.tolist(),
-            _per_path(packed),
-        )
+        DecoderPath(u=ub, message=mb, metric=w, codeword=cb)
+        for ub, mb, w, cb in zip(_pack(u), _pack(msg), metric.tolist(), _pack(bits))
     ]
     return out, prune_bound
 

@@ -110,6 +110,11 @@ class TestTransformFromBits:
         with pytest.raises(ValueError):
             transform_from_bits(cfg, 1 << free_entry_count(cfg))
 
+    def test_negative_bits_rejected(self):
+        # a negative int is not read as an overlong one
+        with pytest.raises(ValueError, match="must be >= 0"):
+            transform_from_bits(construct_pw(4, 2), -1)
+
 
 def test_identity_transform():
     cfg = construct_pw(8, 3)

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polarspec.construct import CodeConfig, construct_pw, construct_rm
-from polarspec.kernel import encode, polar_transform, row_bits
+from polarspec.kernel import encode, polar_transform
 from polarspec.oracle import exact_spectrum
 from polarspec.pretransform import (
     crc_transform,
@@ -78,16 +78,17 @@ class TestSclDecode:
         assert len(paths) == 4
         got = {(p.u, p.codeword, p.metric) for p in paths}
         assert got == {
-            ((0, 0), 0b00, 0),
-            ((1, 0), 0b01, 1),
-            ((0, 1), 0b11, 2),
-            ((1, 1), 0b10, 1),
+            (0b00, 0b00, 0),
+            (0b01, 0b01, 1),
+            (0b10, 0b11, 2),
+            (0b11, 0b10, 1),
         }
 
     def test_paths_come_out_in_lex_order(self):
         cfg = construct_pw(16, 6)
         paths, _ = scl_decode(cfg, random_transform(cfg, 4), 64)
-        assert [p.u for p in paths] == sorted(p.u for p in paths)
+        u_bits = [[p.u >> j & 1 for j in range(cfg.n)] for p in paths]
+        assert u_bits == sorted(u_bits)
 
     def test_metric_equals_weight(self):
         cfg = construct_pw(16, 7)
@@ -115,15 +116,8 @@ class TestSclDecode:
             t = random_transform(cfg, 9) if kind == "random" else pac_transform(cfg, "1011")
         paths, _ = scl_decode(cfg, t, 64)
         for p in paths:
-            x = 0
-            for pos, bit in enumerate(p.u, start=1):
-                if bit:
-                    x ^= row_bits(cfg.m, pos)
-            assert x == p.codeword
-            uvec = 0
-            for b, i in zip(p.message, cfg.info_set):
-                uvec |= b << (i - 1)
-            assert encode(uvec, t, cfg.m) == p.codeword
+            assert polar_transform(p.u, cfg.m) == p.codeword
+            assert encode(p.message, t, cfg.m) == p.codeword
 
     def test_distinct_messages(self):
         cfg = construct_pw(16, 8)
@@ -369,10 +363,57 @@ def test_pruned_regime_is_pinned(key):
         packed = np.packbits(codewords, axis=1, bitorder="little").tobytes().hex()
         arrays.update(repr((metric.tolist(), packed, bound)).encode())
         out, bound = scl_decode(cfg, t, lsize)
-        rows = [(p.u, p.message, p.metric, p.codeword) for p in out]
+        # the digests were recorded over tuples of 0/1 ints for u and the
+        # K message bits; rebuild those from the packed fields
+        rows = [
+            (
+                tuple(p.u >> j & 1 for j in range(cfg.n)),
+                tuple(p.message >> (i - 1) & 1 for i in cfg.info_set),
+                p.metric,
+                p.codeword,
+            )
+            for p in out
+        ]
         paths.update(repr((rows, bound)).encode())
     got = (arrays.hexdigest()[:16], paths.hexdigest()[:16])
     assert got == PINNED_DIGESTS[key]
+
+
+@st.composite
+def _decoded_codes(draw):
+    # N <= 64, every transform kind; a list of 2^K paths never prunes
+    m = draw(st.integers(1, 6))
+    n = 1 << m
+    kind = draw(st.sampled_from(["identity", "random", "pac"] + (["crc"] if n >= 4 else [])))
+    if kind == "crc":
+        k = draw(st.integers(1, n - 2))
+        cfg, t = crc_transform(construct_pw(n, k + 2), k, "111")
+    else:
+        cfg = construct_pw(n, draw(st.integers(1, n)))
+        if kind == "identity":
+            t = identity_transform(cfg)
+        elif kind == "pac":
+            t = pac_transform(cfg, "1011")
+        else:
+            t = random_transform(cfg, draw(st.integers(0, 1 << 32)))
+    small = st.integers(1, 64)
+    list_size = draw(small | st.just(1 << cfg.k) if cfg.k <= 8 else small)
+    return cfg, t, list_size
+
+
+@given(_decoded_codes())
+@example((CodeConfig(3, (4, 6, 7, 8)), pac_transform(CodeConfig(3, (4, 6, 7, 8)), "1011"), 16))
+@example(crc_transform(construct_pw(64, 34), 32, "111") + (40,))
+def test_path_fields_are_packed_ints(case):
+    cfg, t, list_size = case
+    info = sum(1 << (i - 1) for i in cfg.info_set)
+    paths, bound = scl_decode(cfg, t, list_size)
+    assert (bound == math.inf) == (list_size >= 1 << cfg.k)
+    for p in paths:
+        assert polar_transform(p.u, cfg.m) == p.codeword
+        assert encode(p.message, t, cfg.m) == p.codeword
+        assert p.message & ~info == 0
+        assert p.metric == p.codeword.bit_count()
 
 
 @given(
