@@ -137,7 +137,8 @@ def construct_rm(n: int, k: int) -> CodeConfig:
     m = _m_of(n)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
-    order = sorted(_pw_rank(m), key=lambda i: -row_weight(m, i))
+    # row weight is 2^popcount(i-1), so popcount orders the rows alike
+    order = sorted(_pw_rank(m), key=lambda i: -(i - 1).bit_count())
     return CodeConfig(m, tuple(sorted(order[:k])))
 
 

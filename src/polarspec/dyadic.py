@@ -9,9 +9,32 @@ from __future__ import annotations
 
 import functools
 import operator
+import sys
 from fractions import Fraction
 
 __all__ = ["DyadicRational"]
+
+
+# CPython before 3.10.7 has no limit and no getter
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def int_text(x: int) -> str:
+    """str(x) for an int x >= 0 of any size.
+
+    CPython refuses str() past sys.get_int_max_str_digits() digits (4300
+    by default); above that limit x is split by powers 10^(2^k) into
+    pieces that fit, and the process-wide limit is left as it is.
+    """
+    limit = _max_str_digits()
+    # x has at most bound + 1 digits, as 0.30103 > log10(2)
+    bound = x.bit_length() * 30103 // 100000
+    if not limit or bound < limit:
+        return str(x)
+    # the low piece takes a quarter to a half of the digits
+    width = 1 << (bound.bit_length() - 2)
+    hi, lo = divmod(x, 10**width)
+    return int_text(hi) + int_text(lo).rjust(width, "0")
 
 
 @functools.total_ordering
@@ -123,17 +146,18 @@ class DyadicRational:
         if digits < 0:
             raise ValueError("digits must be >= 0")
         scaled = self.num * 10**digits
-        q, r = divmod(scaled, 1 << self.exp)
-        twice = r << 1
+        q = scaled >> self.exp
+        twice = (scaled & ((1 << self.exp) - 1)) << 1
         if twice > (1 << self.exp) or (twice == (1 << self.exp) and q & 1):
             q += 1
         if digits == 0:
-            return str(q)
-        text = str(q).rjust(digits + 1, "0")
+            return int_text(q)
+        text = int_text(q).rjust(digits + 1, "0")
         return f"{text[:-digits]}.{text[-digits:]}"
 
     def __repr__(self):
-        return f"DyadicRational({self.num}, {self.exp})"
+        return f"DyadicRational({int_text(self.num)}, {self.exp})"
 
     def __str__(self):
-        return str(self.num) if self.exp == 0 else f"{self.num}/2^{self.exp}"
+        num = int_text(self.num)
+        return num if self.exp == 0 else f"{num}/2^{self.exp}"

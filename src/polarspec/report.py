@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from .construct import CodeConfig
-from .dyadic import DyadicRational
+from .dyadic import DyadicRational, int_text
 from .oracle import WeightHistogram
 from .spectrum import AverageSpectrum
 
@@ -118,7 +118,7 @@ def _code_block(config: CodeConfig, construction: str) -> dict:
 
 
 def _exact(val: DyadicRational, digits: int) -> dict:
-    return {"num": str(val.num), "exp2": val.exp, "value": val.decimal(digits)}
+    return {"num": int_text(val.num), "exp2": val.exp, "value": val.decimal(digits)}
 
 
 def _fmt(x: float, digits: int) -> str:

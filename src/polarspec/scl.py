@@ -7,26 +7,29 @@ Hamming weight of the path's re-encoded codeword. The final list is
 therefore the set of lowest-weight codewords of the code, complete up
 to the pruning boundary.
 
-Path state follows Tal and Vardy's lazy copy. LLRs and left-sibling
-codeword segments are held per depth d = 1..m as one (N>>d, S) array
-each, a column per stored path copy (so the f/g updates run over
-contiguous memory), plus a map from the current paths to those columns
-(None for the identity). An information decision only composes the maps
-with the survivors' parents; a depth is gathered when the f/g step or
-the fold reads it, and every write makes a fresh array. The pending
-dynamic-frozen values are bit-packed, (P, ceil(N/64)) uint64 words,
-gathered at each decision. Survivors are selected by counting metrics,
-not by sorting. scl_decode derives u (codeword * F_N, a butterfly) and
-the message (forward substitution through T) after decoding, for all
-paths at once, and hands u, the message and the codeword back as packed
-ints (bit j-1 is position j, as in kernel); the paths come out in
-lexicographic order of u_1..u_N.
+Path state follows Tal and Vardy's lazy copy, and every per-path array
+holds one column per path, so each update runs over contiguous rows.
+LLRs and left-sibling codeword segments are held per depth d = 1..m as
+one (N>>d, S) array each, a column per stored path copy, plus a map from
+the current paths to those columns (None for the identity). An
+information decision only composes the maps with the survivors' parents;
+a depth is gathered when the f/g step or the fold reads it, and every
+write makes a fresh array. The pending dynamic-frozen values are
+bit-packed uint64 words, a column per path, gathered at each decision;
+the word behind position t is never read again and is dropped at each
+64-step boundary. The 2P candidate metrics of a decision are one array,
+candidate 2p+bit extending path p, and survivors are selected by
+counting metrics, not by sorting. scl_decode derives u (codeword * F_N,
+a butterfly) and the message (forward substitution through T) after
+decoding, for all paths at once, and hands u, the message and the
+codeword back as packed ints (bit j-1 is position j, as in kernel); the
+paths come out in lexicographic order of u_1..u_N.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class DecoderPath:
+class DecoderPath(NamedTuple):
     """One surviving path: transform-input decisions and their cost.
 
     Every bit vector is a packed int, bit j-1 holding position j. u is the
@@ -52,7 +54,8 @@ class DecoderPath:
     forced dynamic values), so ``kernel.polar_transform(u, m) ==
     codeword``. message is the encoder input: each information bit at its
     index, zero elsewhere, so ``encode(message, transform, m) ==
-    codeword``. metric equals the codeword weight.
+    codeword``. metric equals the codeword weight. A named tuple, so
+    building one costs a tuple's construction.
     """
 
     u: int
@@ -114,8 +117,10 @@ def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
     _check_code_transform(config, transform)
     info = set(config.info_set)
     words = _wordcount(n)
+    # row i reaches only columns j > i, so it is stored from word (i-1)>>6
+    # on: the word that holds the pending values at decision i
     trow = {
-        i: _to_words(transform.rows[i], words)
+        i: _to_words(transform.rows[i], words)[(i - 1) >> 6 :, None]
         for i in config.info_set
         if transform.rows.get(i, 0)
     }
@@ -131,7 +136,9 @@ def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
     left = [None] * (m + 1)
     llr_map = [None] * (m + 1)
     left_map = [None] * (m + 1)
-    acc = np.zeros((1, words), dtype=np.uint64)  # pending dynamic-frozen values, packed
+    # pending dynamic-frozen values, packed: (words, P), row 0 holding the
+    # word of position t+1; the word behind it is dropped at each boundary
+    acc = np.zeros((words, 1), dtype=np.uint64)
     metric = np.zeros(1, dtype=np.int64)
     prune_bound = math.inf
     codewords = None
@@ -150,13 +157,16 @@ def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
                 llr[d] = _minsum(a, b)
             llr_map[d] = None
         dec_llr = llr[m][0]
-        # cost[p, b] = path_metric_update(b, llr of path p)
-        cost = np.stack([np.maximum(-dec_llr, 0), np.maximum(dec_llr, 0)], axis=1)
-        pending = (acc[:, t >> 6] >> (t & 63) & 1).astype(np.uint8)
+        if t and not t & 63:
+            acc = acc[1:]
+        pending = (acc[0] >> (t & 63) & 1).astype(np.uint8)
 
         if t + 1 in info:
-            # candidate id 2p+bit keeps lexicographic order among ties
-            cand = (metric[:, None] + cost).ravel()
+            # candidate 2p+bit costs metric[p] + path_metric_update(bit, llr
+            # of path p); the id keeps lexicographic order among ties
+            cand = np.empty(2 * len(metric), dtype=np.int64)
+            cand[0::2] = metric + np.maximum(-dec_llr, 0)
+            cand[1::2] = metric + np.maximum(dec_llr, 0)
             if len(cand) <= list_size:
                 keep = np.arange(len(cand))
             else:
@@ -171,13 +181,13 @@ def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
             composed = {key: np.take(x, parent) for key, x in unique.items()}
             for maps in (llr_map, left_map):
                 maps[1:] = [parent if x is None else composed[id(x)] for x in maps[1:]]
-            acc = np.take(acc, parent, axis=0)
+            acc = np.take(acc, parent, axis=1)
             if t + 1 in trow:
                 flip = (bit ^ np.take(pending, parent)).astype(np.uint64)
-                acc ^= np.multiply.outer(flip, trow[t + 1])
+                acc ^= trow[t + 1] * flip
         else:
             bit = pending
-            metric = metric + np.where(bit == 1, cost[:, 1], cost[:, 0])
+            metric = metric + np.maximum(np.where(bit, dec_llr, -dec_llr), 0)
 
         # fold the decided bit upward while it closes a right child
         seg = bit[None, :]
@@ -256,10 +266,7 @@ def scl_decode(
     u = _inverse_transform(bits, config.m)
     msg = np.zeros_like(u)
     msg[np.array(config.info_set) - 1] = _messages(u, config, transform)
-    out = [
-        DecoderPath(u=ub, message=mb, metric=w, codeword=cb)
-        for ub, mb, w, cb in zip(_pack(u), _pack(msg), metric.tolist(), _pack(bits))
-    ]
+    out = list(map(DecoderPath, _pack(u), _pack(msg), metric.tolist(), _pack(bits)))
     return out, prune_bound
 
 

@@ -66,6 +66,15 @@ class TestRM:
         # PW prefers index 3 (higher bit position scores more).
         assert construct_rm(4, 2).info_set == (3, 4)
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_a_stable_sort_by_row_weight(self, m):
+        # the popcount key orders rows as row_weight does, at every K
+        from polarspec.construct import _pw_rank
+
+        order = sorted(_pw_rank(m), key=lambda i: -row_weight(m, i))
+        for k in range(1, (1 << m) + 1):
+            assert construct_rm(1 << m, k).info_set == tuple(sorted(order[:k]))
+
 
 class TestPW:
     def test_spec_values(self):

@@ -1,10 +1,12 @@
+import decimal
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polarspec.dyadic import DyadicRational
+from polarspec.dyadic import DyadicRational, int_text
 
 
 def test_normalization_lowest_terms():
@@ -150,3 +152,40 @@ def test_decimal_matches_fraction_rounding(num, exp, digits):
     exact = x.to_fraction() * 10**digits
     # round-half-to-even: rendered value is the nearest integer multiple
     assert abs(scaled - exact) <= Fraction(1, 2)
+
+
+@st.composite
+def _decimal_cases(draw):
+    # exp = digits + 1 makes value * 10^digits end in exactly one half
+    digits = draw(st.integers(0, 8))
+    exp = draw(st.integers(0, 60) | st.just(digits + 1))
+    return draw(st.integers(0, 1 << 64)), exp, digits
+
+
+@given(_decimal_cases())
+def test_decimal_matches_a_fraction_reference(case):
+    num, exp, digits = case
+    # round() on a Fraction rounds half to even
+    q = round(Fraction(num, 1 << exp) * 10**digits)
+    text = str(q).rjust(digits + 1, "0")
+    expected = f"{text[:-digits]}.{text[-digits:]}" if digits else text
+    assert DyadicRational(num, exp).decimal(digits) == expected
+
+
+@pytest.mark.parametrize("bits", [64, 14_000, 14_300, 20_000, 100_000])
+def test_int_text_has_no_digit_limit(bits):
+    # decimal.Decimal converts ints without the limit str() enforces; the
+    # process-wide limit is read, never set
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    before = limit()
+    for x in (1 << bits, (1 << bits) - 1, 10 ** (bits // 4), 10 ** (bits // 4) - 1, 3 ** (bits // 2)):
+        assert int_text(x) == str(decimal.Decimal(x))
+    assert limit() == before
+
+
+def test_huge_values_render():
+    # decimal() past the limit is checked through the reports
+    n = 2 * 3**10000 + 1  # 4772 digits
+    digits = str(decimal.Decimal(n))
+    assert str(DyadicRational(n, 7)) == f"{digits}/2^7"
+    assert repr(DyadicRational(n, 7)) == f"DyadicRational({digits}, 7)"

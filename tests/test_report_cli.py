@@ -1,5 +1,10 @@
+import csv
+import decimal
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import polarspec
 from polarspec.cli import THREADS_ENV, main
 from polarspec.construct import CodeConfig, construct_pw, construct_rm
 from polarspec.dyadic import DyadicRational
@@ -25,7 +31,7 @@ from polarspec.report import (
     report_from_histogram,
 )
 from polarspec.scl import collect_low_weight
-from polarspec.spectrum import avg_spectrum
+from polarspec.spectrum import AverageSpectrum, avg_spectrum
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -163,6 +169,50 @@ _REPORT = st.builds(
 @example(SpectrumReport(code={"info_set": list(range(1, 70_002))}, method="x"))
 def test_to_json_matches_json_dumps(rep):
     assert rep.to_json() == json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+class TestNumeratorsPastTheDigitLimit:
+    """CPython's str() refuses ints past sys.get_int_max_str_digits()
+    digits (4300 by default); reports render them all the same."""
+
+    NUM = 2 * 3**10000 + 1  # 4772 digits
+
+    def _report(self):
+        cfg = construct_pw(8, 4)
+        spec = AverageSpectrum(cfg, {1: DyadicRational(self.NUM, 7), 2: DyadicRational(5, 1)})
+        return report_from_average(cfg, "pw", spec)
+
+    def _expected(self):
+        # decimal.Decimal converts ints without the limit
+        ctx = decimal.Context(prec=6000)
+        value = ctx.divide(decimal.Decimal(self.NUM), 128).quantize(decimal.Decimal("1e-6"), context=ctx)
+        return str(decimal.Decimal(self.NUM)), str(value)
+
+    def test_json(self):
+        doc = json.loads(self._report().to_json())
+        num, value = self._expected()
+        assert doc["entries"][0] == {"d": 1, "num": num, "exp2": 7, "value": value}
+        assert doc["entries"][1] == {"d": 2, "num": "5", "exp2": 1, "value": "2.500000"}
+
+    def test_csv(self):
+        rows = list(csv.reader(self._report().to_csv().splitlines()))
+        num, value = self._expected()
+        assert rows[1] == ["1", value, num, "7", "", "", ""]
+        assert rows[2] == ["2", "2.500000", "5", "1", "", "", ""]
+
+    def test_cli_under_a_lower_limit(self, capsys):
+        # full N=4096 numerators reach 908 digits: past a 640-digit limit
+        argv = ["avg-spectrum", "--n", "4096", "--k", "2048", "--construction", "pw"]
+        rc, expected, _ = run(capsys, *argv)
+        assert rc == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(polarspec.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=640", "-m", "polarspec.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
+        assert max(len(e["num"]) for e in json.loads(expected)["entries"]) > 640
 
 
 class TestGoldenFiles:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 from itertools import combinations
 
 import numpy as np
@@ -25,6 +26,9 @@ from polarspec.scl import (
     path_metric_update,
     scl_decode,
 )
+
+
+FULL = os.environ.get("POLARSPEC_ACCEPT_FULL", "") == "1"
 
 
 def brute_counts(cfg, transform):
@@ -89,6 +93,14 @@ class TestSclDecode:
         paths, _ = scl_decode(cfg, random_transform(cfg, 4), 64)
         u_bits = [[p.u >> j & 1 for j in range(cfg.n)] for p in paths]
         assert u_bits == sorted(u_bits)
+
+    def test_paths_are_immutable_named_tuples(self):
+        cfg = construct_pw(16, 6)
+        p = scl_decode(cfg, random_transform(cfg, 4), 8)[0][-1]
+        assert p == (p.u, p.message, p.metric, p.codeword)
+        assert p.weight == p.codeword.bit_count()
+        with pytest.raises(AttributeError):
+            p.metric = 0
 
     def test_metric_equals_weight(self):
         cfg = construct_pw(16, 7)
@@ -339,6 +351,29 @@ PINNED_DIGESTS = {
     (128, "rm", "pac"): ("b70b3fa4086da962", "abf81c4d4bc8c730"),
     (128, "rm", "crc"): ("ade0c7f94e7f600c", "d4a7b9919ebf76b7"),
     (128, "rm", "random"): ("e48805223f1a2920", "9c07671556465d20"),
+    # N=256 and up: recorded at commit 4049cd3, whose decoder held the
+    # pending words a row per path and every word to the end of the decode;
+    # these cross one dropped word and more
+    (256, "pw", "identity"): ("160b271965dda8eb", "ecac34fdb675fe8f"),
+    (256, "pw", "pac"): ("160b271965dda8eb", "d32c6acacf373d63"),
+    (256, "pw", "crc"): ("e33fcfcaf56ae8bb", "8f09417945127c7d"),
+    (256, "pw", "random"): ("160b271965dda8eb", "99a9dab0db6a33b5"),
+    (256, "rm", "identity"): ("f709158d034e1cea", "02d8e1cf44d9c0ba"),
+    (256, "rm", "pac"): ("b5eb41e037d2312f", "359be810bbd40b93"),
+    (256, "rm", "crc"): ("be72f94ab57f1276", "21f472d11afd133e"),
+    (256, "rm", "random"): ("4bc468aabb356893", "e7d5ccd3c63354f3"),
+}
+
+# opt-in (POLARSPEC_ACCEPT_FULL=1), recorded with the N=256 pins
+PINNED_DIGESTS_FULL = {
+    (512, "pw", "identity"): ("a47fc88bb5dbc8d5", "50a4e8d1ff05e09e"),
+    (512, "pw", "pac"): ("a47fc88bb5dbc8d5", "32e45fc0e662e2c5"),
+    (512, "pw", "crc"): ("4361881637c98ad2", "6a99f96b72efe182"),
+    (512, "pw", "random"): ("a47fc88bb5dbc8d5", "585f7905c1035c94"),
+    (1024, "pw", "identity"): ("915c0a6d5120362c", "2ed54141c1ae318e"),
+    (1024, "pw", "pac"): ("915c0a6d5120362c", "cfe8f7171baad91c"),
+    (1024, "pw", "crc"): ("bb915fdec387a47e", "7cb8ace52dca6aa3"),
+    (1024, "pw", "random"): ("915c0a6d5120362c", "3617fbf55fcef6d6"),
 }
 
 
@@ -354,7 +389,14 @@ def _pinned_case(n, name, kind):
     return cfg, random_transform(cfg, n + len(name))
 
 
-@pytest.mark.parametrize("key", sorted(PINNED_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+_FULL_PIN = pytest.mark.skipif(not FULL, reason="set POLARSPEC_ACCEPT_FULL=1 for N=512, 1024")
+
+
+@pytest.mark.parametrize(
+    "key",
+    sorted(PINNED_DIGESTS) + [pytest.param(k, marks=_FULL_PIN) for k in sorted(PINNED_DIGESTS_FULL)],
+    ids=lambda k: "-".join(map(str, k)),
+)
 def test_pruned_regime_is_pinned(key):
     cfg, t = _pinned_case(*key)
     arrays, paths = hashlib.sha256(), hashlib.sha256()
@@ -376,7 +418,7 @@ def test_pruned_regime_is_pinned(key):
         ]
         paths.update(repr((rows, bound)).encode())
     got = (arrays.hexdigest()[:16], paths.hexdigest()[:16])
-    assert got == PINNED_DIGESTS[key]
+    assert got == {**PINNED_DIGESTS, **PINNED_DIGESTS_FULL}[key]
 
 
 @st.composite
