@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,71 +57,42 @@ def _m_of(n: int) -> int:
     return n.bit_length() - 1
 
 
-def _pw_vector(m: int, i: int) -> tuple[int, int, int, int]:
-    """Integer coordinates of the polarization weight of channel i.
-
-    The score is sum over set bits j of (i-1) of 2^(j/4). Grouping bits by
-    j mod 4 writes it as c0 + c1*b + c2*b^2 + c3*b^3 with b = 2^(1/4) and
-    integer c's, which allows exact comparison.
-    """
-    c = [0, 0, 0, 0]
-    for j in range(m):
-        if (i - 1) >> j & 1:
-            c[j & 3] += 1 << (j >> 2)
-    return tuple(c)
-
-
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sign_root2(a: int, c: int) -> int:
-    """Sign of a + c*sqrt(2). Where a and c differ in sign, a - c*sqrt(2)
-    has the sign of a, and the product of the two is a^2 - 2c^2."""
-    if a * c >= 0:
-        return _sign(a + c)
-    return _sign(a) * _sign(a * a - 2 * c * c)
-
-
-def _pw_cmp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Exact three-way comparison of two polarization-weight scores.
-
-    The coordinate difference x = d0 + d1*r + d2*r^2 + d3*r^3, r = 2^(1/4),
-    is p + q*r with p = d0 + d2*sqrt(2) and q = d1 + d3*sqrt(2). Where p and
-    q differ in sign, x has the sign of p times that of
-    (p + q*r)(p - q*r) = p^2 - q^2*sqrt(2), again of the form u + v*sqrt(2).
-    Distinct coordinates always separate: 1, r, r^2, r^3 are linearly
-    independent over the rationals, so only identical vectors tie.
-    """
-    d0, d1, d2, d3 = (x - y for x, y in zip(a, b))
-    sp, sq = _sign_root2(d0, d2), _sign_root2(d1, d3)
-    if sp * sq >= 0:
-        return sp or sq
-    return sp * _sign_root2(d0 * d0 + 2 * d2 * d2 - 4 * d1 * d3,
-                            2 * d0 * d2 - d1 * d1 - 2 * d3 * d3)
-
-
 @functools.cache
 def _pw_rank(m: int) -> tuple[int, ...]:
     """All channel indices 1..2^m, most reliable (largest PW score) first.
 
+    The score of channel i is the sum of b^j, b = 2^(1/4), over the set
+    bits j of i - 1. It is ranked by the integer key that sums
+    floor(b^j * 2^p) instead, with p = 2m + 8, and the keys order the
+    scores exactly:
+
+    - A key is 2^p times its score less an error in [0, m): one floor per
+      set bit.
+    - Let S = sum of b^j over j < m, the largest score; S < 2^(m/4 + 2.5).
+      Two distinct scores differ by x = sum of c_j b^j, c_j in {-1, 0, 1},
+      not all zero. x lies in Z[b], and x^4 - 2 is irreducible, so its
+      field norm, x times its three other conjugates, is a nonzero
+      integer. The conjugates replace b by -b and by +-i*b, so each is at
+      most the sum of b^j over j < m, S, in size. Hence |x| >= S^-3.
+    - m * S^3 < m * 2^(3m/4 + 7.5) <= 2^(2m + 8) = 2^p, so 2^p * |x| > m
+      outweighs the two errors: two keys differ with the sign of their
+      scores' difference, and distinct channels never tie.
+
     Computed once per m: every construction of length 2^m reads it.
     """
-    vectors = {i: _pw_vector(m, i) for i in range(1, (1 << m) + 1)}
-
-    def cmp(i: int, j: int) -> int:
-        c = _pw_cmp(vectors[i], vectors[j])
-        return c if c else (i > j) - (i < j)
-
-    return tuple(sorted(vectors, key=functools.cmp_to_key(cmp), reverse=True))
+    p = 2 * m + 8
+    keys = [0]  # keys[i - 1] is the key of channel i
+    for j in range(m):
+        term = math.isqrt(math.isqrt(1 << (j + 4 * p)))  # floor(2^(j/4 + p))
+        keys += [key + term for key in keys]
+    return tuple(sorted(range(1, (1 << m) + 1), key=lambda i: keys[i - 1], reverse=True))
 
 
 def construct_pw(n: int, k: int) -> CodeConfig:
     """Top-k channels by polarization weight with base 2^(1/4).
 
-    Scores are compared exactly, so the resulting set is identical on
-    every platform. Equal scores cannot occur for distinct indices; the
-    larger index would win such a tie.
+    Scores are ranked by an exact integer key, so the resulting set is
+    identical on every platform.
     """
     m = _m_of(n)
     if not 1 <= k <= n:

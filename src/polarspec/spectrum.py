@@ -141,13 +141,14 @@ def _coset_table(level: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _weighted_sum(level: int, rows: list[tuple[int, int]], d_max: int) -> list[int]:
-    """Coefficients 0..d_max of the sum of w * S_i over (i, w) in rows.
+    """Coefficients 0..d_max of the sum of 2^e * S_i over (i, e) in rows.
 
     S_i is the weight enumerator of coset i at length 2^level; rows ascend
     by index. Coset i has no member lighter than row i, so rows heavier
-    than d_max add nothing and are dropped here, once.
+    than d_max add nothing and are dropped here, once, before any weight
+    2^e is built.
     """
-    light = [(i, w) for i, w in rows if 1 << (i - 1).bit_count() <= d_max]
+    light = [(i, 1 << e) for i, e in rows if 1 << (i - 1).bit_count() <= d_max]
     return _branch_sum(level, 0, light, d_max)
 
 
@@ -196,7 +197,7 @@ def coset_spectrum(m: int, i: int, d_max: int | None = None) -> CosetSpectrum:
         d_max = n
     if not 0 <= d_max <= n:
         raise ValueError(f"d_max {d_max} outside [0, {n}]")
-    return CosetSpectrum(m, i, tuple(_weighted_sum(m, [(i, 1)], d_max)))
+    return CosetSpectrum(m, i, tuple(_weighted_sum(m, [(i, 0)], d_max)))
 
 
 def p_exact(m: int, i: int, d: int) -> DyadicRational:
@@ -237,7 +238,7 @@ def avg_spectrum(config: CodeConfig, d_max: int | None = None) -> AverageSpectru
         d_max = n
     if not 1 <= d_max <= n:
         raise ValueError(f"d_max {d_max} outside [1, {n}]")
-    rows = [(i, 1 << (i - j)) for j, i in enumerate(config.info_set, start=1)]
+    rows = [(i, i - j) for j, i in enumerate(config.info_set, start=1)]
     counts = _weighted_sum(m, rows, d_max)
     entries = {d: DyadicRational(counts[d], n - k) for d in range(1, d_max + 1)}
     return AverageSpectrum(config, entries)

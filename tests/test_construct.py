@@ -2,12 +2,9 @@ import hashlib
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from polarspec.construct import (
     CodeConfig,
-    _pw_cmp,
     _pw_rank,
     construct_pw,
     construct_rm,
@@ -161,14 +158,16 @@ def test_min_row_weight_matches_definition():
     assert min_row_weight(cfg) == min(row_weight(4, i) for i in cfg.info_set)
 
 
-# sha256 prefixes of repr(_pw_rank(m)), recorded from the interval-refinement
-# comparison that preceded the closed-form sign rule
+# sha256 prefixes of repr(_pw_rank(m)), recorded from exact comparators that
+# preceded the integer key: m <= 13 from an interval refinement, m = 14..18
+# from the closed-form sign rule over integer coordinates (c0, .., c3)
 PW_RANK_DIGESTS = {
     1: "34e6f08aad18ac98", 2: "f789caa0094510d5", 3: "422680d5f1313ceb",
     4: "bffd299ba2aeee96", 5: "64f00d277f27adb8", 6: "db90bcbf84d5c207",
     7: "4ab756df733a4ff5", 8: "8dbdac9c5cdac390", 9: "b346e8d1b3238ff3",
     10: "b9645ef8129d6dc7", 11: "682f9e4acb97d802", 12: "1c13b332a75e3230",
-    13: "6896b27be323d55c",
+    13: "6896b27be323d55c", 14: "d118ca124603cfde", 15: "fc1cdc90ab3d29ef",
+    16: "9af71ed6d9c3feb7", 17: "ce8e71938cdaa4f2", 18: "ea06a816cd567ae8",
 }
 
 
@@ -178,26 +177,15 @@ def test_pw_rank_pinned(m):
     assert digest == PW_RANK_DIGESTS[m]
 
 
-_COORD = st.integers(-(1 << 10), 1 << 10)
-
-
-@given(st.tuples(_COORD, _COORD, _COORD, _COORD))
-# the smallest nonzero |x| found with |d1|, |d2|, |d3| <= 200: about 2e-8 to 6e-8
-@example((337, -166, 132, -194))
-@example((-461, 115, 39, 160))
-@example((51, -171, 34, 62))
-@example((-124, -51, 171, -34))
-@example((0, 0, 0, 0))
-def test_pw_cmp_matches_decimal_evaluation(d):
-    # x = d0 + d1*b + d2*b^2 + d3*b^3 with b = 2^(1/4). Its field norm is a
-    # nonzero integer unless x = 0, and each other conjugate is at most
-    # 2^10 * (1 + b + b^2 + b^3) < 5400 in size, so |x| > 5400^-3 > 6e-12.
-    # Sixty digits decide its sign.
+@pytest.mark.parametrize("m", range(1, 15))
+def test_pw_rank_scores_strictly_decrease(m):
+    # Distinct scores differ by more than S^-3, S < 2^(m/4 + 2.5) the
+    # largest score: over 2^-18 at m = 14. Sixty digits resolve that, so
+    # every consecutive pair must compare strictly in Decimal.
     with localcontext() as ctx:
         ctx.prec = 60
-        root2 = Decimal(2).sqrt()
-        b = root2.sqrt()
-        x = d[0] + d[1] * b + d[2] * root2 + d[3] * root2 * b
-    sign = (x > 0) - (x < 0)
-    assert _pw_cmp(d, (0, 0, 0, 0)) == sign
-    assert _pw_cmp((0, 0, 0, 0), d) == -sign
+        powers = [Decimal(2) ** (Decimal(j) / 4) for j in range(m)]
+        scores = [sum((powers[j] for j in range(m) if (i - 1) >> j & 1), Decimal(0))
+                  for i in _pw_rank(m)]
+    assert sorted(_pw_rank(m)) == list(range(1, (1 << m) + 1))
+    assert all(a > b for a, b in zip(scores, scores[1:]))

@@ -325,7 +325,8 @@ def test_pw_128_64_identity_min_weight_count():
 # decoder that copied every path's full state at each information decision.
 # They pin which candidates survive a tie at the prune boundary, the prune
 # bound itself and the lexicographic path order. Keys: (N, construction,
-# transform); RM codes use K = N/2 - 4 so they differ from the PW codes.
+# transform) and optionally K; by default PW codes use K = N/2 and RM codes
+# K = N/2 - 4 so they differ from the PW codes.
 PINNED_DIGESTS = {
     (32, "pw", "identity"): ("efb5ad1251fdcb4e", "7790c83463212d60"),
     (32, "pw", "pac"): ("d84095e00c81a38e", "bde402df4b67449d"),
@@ -362,6 +363,12 @@ PINNED_DIGESTS = {
     (256, "rm", "pac"): ("b5eb41e037d2312f", "359be810bbd40b93"),
     (256, "rm", "crc"): ("be72f94ab57f1276", "21f472d11afd133e"),
     (256, "rm", "random"): ("4bc468aabb356893", "e7d5ccd3c63354f3"),
+    # at K = N/2 the N >= 256 PW lists hold the same codewords under every
+    # transform; at K = 160 the transform moves them, and the arrays digest
+    # with it. Recorded at commit a8a88e1
+    (256, "pw", "identity", 160): ("f25cd5a0b6396c7b", "ed86aa0c92f7f197"),
+    (256, "pw", "pac", 160): ("1a96e69c08a02ec1", "14c735c804d51024"),
+    (256, "pw", "random", 160): ("f77db30418dcd696", "f098e0624a8e4ff3"),
 }
 
 # opt-in (POLARSPEC_ACCEPT_FULL=1), recorded with the N=256 pins
@@ -377,8 +384,8 @@ PINNED_DIGESTS_FULL = {
 }
 
 
-def _pinned_case(n, name, kind):
-    build, k = (construct_pw, n // 2) if name == "pw" else (construct_rm, n // 2 - 4)
+def _pinned_case(n, name, kind, k=None):
+    build, k = (construct_pw, k or n // 2) if name == "pw" else (construct_rm, n // 2 - 4)
     if kind == "crc":
         return crc_transform(build(n, k + 6), k, "1000011")
     cfg = build(n, k)
