@@ -26,7 +26,6 @@ from .report import SpectrumReport, report_from_average, report_from_histogram
 from .scl import DecoderPath, collect_low_weight, path_metric_update, scl_decode
 from .spectrum import (
     AverageSpectrum,
-    CosetSpectrum,
     avg_nmin,
     avg_spectrum,
     coset_spectrum,
@@ -41,7 +40,6 @@ __all__ = [
     "AverageSpectrum",
     "BudgetError",
     "CodeConfig",
-    "CosetSpectrum",
     "DecoderPath",
     "DyadicRational",
     "PreTransform",

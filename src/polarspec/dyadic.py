@@ -134,9 +134,8 @@ class DyadicRational:
         return hash(self.num) if self.exp == 0 else hash((self.num, self.exp))
 
     def __float__(self) -> float:
-        if self.exp < 1024:
-            return self.num / (1 << self.exp)
-        return float(self.to_fraction())
+        # int true division rounds correctly at any size
+        return self.num / (1 << self.exp)
 
     def decimal(self, digits: int = 6) -> str:
         """Exact decimal string with ``digits`` fractional digits.

@@ -153,13 +153,6 @@ def pac_transform(config: CodeConfig, conv_coeffs: str | int) -> PreTransform:
     return PreTransform(n, {i: (template << (i - 1)) & full for i in config.info_set})
 
 
-def _gf2_mod(num: int, g: int) -> int:
-    dg = g.bit_length() - 1
-    while num and num.bit_length() - 1 >= dg:
-        num ^= g << (num.bit_length() - 1 - dg)
-    return num
-
-
 def parse_poly(text: str | int) -> int:
     """Polynomial as an integer, bit a holding the coefficient of D^a.
 
@@ -205,12 +198,12 @@ def crc_transform(
         )
     info = outer_config.info_set[:k]
     crc_idx = outer_config.info_set[k:]
-    rows: dict[int, int] = {}
-    for j, i in enumerate(info, start=1):
-        rem = _gf2_mod(1 << (r + k - j), poly)
-        mask = 0
-        for t in range(1, r + 1):
-            if rem >> (r - t) & 1:
-                mask |= 1 << (crc_idx[t - 1] - 1)
-        rows[i] = mask
+    masks = []
+    rem = poly ^ (1 << r)  # D^r mod g, for message bit k
+    for _ in info:  # message bits k..1, each remainder one LFSR step on
+        masks.append(sum(1 << (c - 1) for t, c in enumerate(crc_idx, 1) if rem >> (r - t) & 1))
+        rem <<= 1
+        if rem >> r:
+            rem ^= poly
+    rows = dict(zip(info, reversed(masks)))
     return CodeConfig(outer_config.m, info), PreTransform(outer_config.n, rows)

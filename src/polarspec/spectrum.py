@@ -21,6 +21,10 @@ its midpoint by bisection. Branches of length 2^TABLE_LEVEL and below
 read their cosets' full enumerators from one table, built once with the
 same two maps.
 
+A row's weight 2^e travels as its exponent e, down to the leaf that adds
+the row, so no list of weights is held: the 92,378 rows RM(2^20, 2^19)
+keeps at d_max = 1024 have weights of 4.6 GiB in all.
+
 Everything here is integer or dyadic arithmetic; no floats are involved,
 so results are reproducible bit-for-bit at any block length.
 """
@@ -38,7 +42,6 @@ from .dyadic import DyadicRational
 from .kernel import _check_index, row_weight
 
 __all__ = [
-    "CosetSpectrum",
     "AverageSpectrum",
     "coset_spectrum",
     "p_exact",
@@ -49,29 +52,6 @@ __all__ = [
 ]
 
 TABLE_LEVEL = 4  # branches of length <= 2^TABLE_LEVEL sum table rows
-
-
-@dataclass(frozen=True, slots=True)
-class CosetSpectrum:
-    """Weight distribution of the coset f^(i) + span(f^(i+1), ..., f^(N)).
-
-    counts[d] is the number of weight-d vectors among the 2^(N-i) coset
-    members; the list is truncated at the requested maximum weight.
-    """
-
-    m: int
-    i: int
-    counts: tuple[int, ...]
-
-    @property
-    def d_max(self) -> int:
-        return len(self.counts) - 1
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def nonzero(self) -> dict[int, int]:
-        return {d: c for d, c in enumerate(self.counts) if c}
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,10 +125,10 @@ def _weighted_sum(level: int, rows: list[tuple[int, int]], d_max: int) -> list[i
 
     S_i is the weight enumerator of coset i at length 2^level; rows ascend
     by index. Coset i has no member lighter than row i, so rows heavier
-    than d_max add nothing and are dropped here, once, before any weight
-    2^e is built.
+    than d_max add nothing and are dropped here, once. The rest pass down
+    as (i, e) pairs: a weight 2^e is formed only where its row is added.
     """
-    light = [(i, 1 << e) for i, e in rows if 1 << (i - 1).bit_count() <= d_max]
+    light = [(i, e) for i, e in rows if 1 << (i - 1).bit_count() <= d_max]
     return _branch_sum(level, 0, light, d_max)
 
 
@@ -158,18 +138,20 @@ def _branch_sum(level: int, base: int, rows: list[tuple[int, int]], d_max: int) 
 
     Every row is at most d_max heavy within the branch: the high half
     halves both its rows' weights and d_max, the low half keeps both, and
-    the mirror drops row n, the one row heavier than n/2. At TABLE_LEVEL
-    and below the sum reads the table. Above it, cosets i < n hold the
-    complement of each member and coset n is the all-ones word alone, so
-    above n/2 the sum is the mirror of degrees 0..n/2 plus row n's weight
-    at x^n. Up to n/2, each half's rows are summed in one call a level
+    the mirror drops row n, the one row heavier than n/2. Rows keep their
+    exponents all the way down. At TABLE_LEVEL and below the sum reads the
+    table, forming each row's weight 2^e once. Above it, cosets i < n hold
+    the complement of each member and coset n is the all-ones word alone,
+    so above n/2 the sum is the mirror of degrees 0..n/2 plus 2^e at x^n
+    for row n. Up to n/2, each half's rows are summed in one call a level
     down and mapped once: O(N^2) coefficient operations for a full
     spectrum, and a truncated one visits only branches holding a row.
     """
     if level <= TABLE_LEVEL:
         table = _coset_table(level)
         out = [0] * (d_max + 1)
-        for i, w in rows:
+        for i, e in rows:
+            w = 1 << e
             out = [o + w * c for o, c in zip(out, table[i - base - 1])]
         return out
     n, half = 1 << level, 1 << (level - 1)
@@ -178,7 +160,7 @@ def _branch_sum(level: int, base: int, rows: list[tuple[int, int]], d_max: int) 
         out = _branch_sum(level, base, rows[:top], half)
         out += out[n - d_max : half][::-1]  # out[d] = out[n - d] for half < d <= d_max
         if d_max == n:
-            out[n] = rows[top][1] if top < len(rows) else 0
+            out[n] = 1 << rows[top][1] if top < len(rows) else 0
         return out
     out = [0] * (d_max + 1)
     mid = bisect_right(rows, base + half, key=itemgetter(0))
@@ -189,21 +171,24 @@ def _branch_sum(level: int, base: int, rows: list[tuple[int, int]], d_max: int) 
     return out
 
 
-def coset_spectrum(m: int, i: int, d_max: int | None = None) -> CosetSpectrum:
-    """Exact weight counts of coset i at length 2^m, up to weight d_max."""
+def coset_spectrum(m: int, i: int, d_max: int | None = None) -> tuple[int, ...]:
+    """Exact weight counts of coset i at length 2^m, up to weight d_max.
+
+    The coset is f^(i) + span(f^(i+1), ..., f^(N)); entry d of the tuple
+    is the number of its 2^(N-i) members of weight d, for d = 0..d_max.
+    """
     _check_index(m, i)
     n = 1 << m
     if d_max is None:
         d_max = n
     if not 0 <= d_max <= n:
         raise ValueError(f"d_max {d_max} outside [0, {n}]")
-    return CosetSpectrum(m, i, tuple(_weighted_sum(m, [(i, 0)], d_max)))
+    return tuple(_weighted_sum(m, [(i, 0)], d_max))
 
 
 def p_exact(m: int, i: int, d: int) -> DyadicRational:
     """Probability that coset i at length 2^m draws a weight-d vector."""
-    spec = coset_spectrum(m, i, d)
-    return DyadicRational(spec.counts[d], (1 << m) - i)
+    return DyadicRational(coset_spectrum(m, i, d)[d], (1 << m) - i)
 
 
 def p_min(m: int, i: int) -> DyadicRational:

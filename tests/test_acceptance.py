@@ -184,12 +184,12 @@ def test_coset_invariants_and_average_mass():
         for i in range(1, n + 1):
             c = coset_spectrum(m, i)
             w = row_weight(m, i)
-            if sum(c.counts) != 1 << (n - i):
+            if sum(c) != 1 << (n - i):
                 bad.append((m, i, "normalization"))
-            if any(c.counts[d] for d in range(w)):
+            if any(c[d] for d in range(w)):
                 bad.append((m, i, "mass below row weight"))
             parity_violations = range(0 if i == 1 else 1, n + 1, 2)
-            if any(c.counts[d] for d in parity_violations):
+            if any(c[d] for d in parity_violations):
                 bad.append((m, i, "parity"))
             if p_min(m, i) != p_exact(m, i, w):
                 bad.append((m, i, "min-weight probability"))
@@ -338,7 +338,7 @@ def test_coset_invariance_under_transforms():
     for m in (1, 2, 3, 4):
         n = 1 << m
         for i in range(1, n + 1):
-            ref = np.array(coset_spectrum(m, i).counts, dtype=np.int64)
+            ref = np.array(coset_spectrum(m, i), dtype=np.int64)
             width = n - i
             for mask_bits in range(1 << width):
                 hist = direct_coset_hist(m, i, mask_bits << i)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from polarspec.dyadic import DyadicRational, int_text
 
@@ -101,6 +101,22 @@ def test_fraction_round_trip():
     assert DyadicRational.from_fraction(f).to_fraction() == f
     with pytest.raises(ValueError):
         DyadicRational.from_fraction(Fraction(1, 3))
+
+
+@given(st.integers(1, 1 << 64), st.integers(0, 5000), st.integers(0, 5000))
+@example(3, 0, 1075)  # 1.5 times the smallest subnormal: a tie, rounded to even
+@example(1 + (1 << 64), 1960, 1000)  # 2^1024 after rounding: overflows
+def test_float_matches_a_fraction_reference(mantissa, shift, exp):
+    # exponents past 1024, where 2^exp itself is no float, and values
+    # past the float range, which raise OverflowError on both routes
+    x = DyadicRational(mantissa << shift, exp)
+    try:
+        expect = float(x.to_fraction())
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            float(x)
+    else:
+        assert float(x) == expect
 
 
 def test_bool_and_is_zero():

@@ -2,9 +2,10 @@
 
 The N = 2^16 reports are pinned by the sha256 prefix of their bytes,
 recorded at commit a8a88e1, before the PW ranking became an integer key
-and before the recursion weights were built after the row filter. The
-slowest pin (RM at d_max 512, about 1 s) and the N = 2^20 run are opt-in:
-set POLARSPEC_ACCEPT_FULL=1.
+and before the recursion weights were built after the row filter. Larger
+runs go through a child process, whose own peak RSS is checked too. The
+slowest N = 2^16 pin (RM at d_max 512, about 1 s) and the N = 2^20 runs
+are opt-in: set POLARSPEC_ACCEPT_FULL=1.
 """
 
 import hashlib
@@ -19,8 +20,8 @@ import pytest
 
 import polarspec
 from polarspec.cli import main
-from polarspec.construct import construct_pw
-from polarspec.dyadic import DyadicRational
+from polarspec.construct import construct_pw, construct_rm
+from polarspec.dyadic import DyadicRational, int_text
 from polarspec.spectrum import avg_nmin
 
 FULL = os.environ.get("POLARSPEC_ACCEPT_FULL", "") == "1"
@@ -48,30 +49,70 @@ def test_n65536_reports_are_pinned(capsys, construction, d_max):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == REPORT_DIGESTS[construction, d_max]
 
 
-@_OPT_IN
-def test_pw_n1048576_at_twice_dmin(tmp_path):
-    # PW(2^20, 2^19) up to 2 * d_min: exit 0, the d_min entry equals the
-    # closed-form avg_nmin, and the child process stays within 500 MB
-    n, k = 1 << 20, 1 << 19
+def _run_cli(tmp_path, n, k, construction, d_max, timeout=300):
+    """Run avg-spectrum in a child process and check that it exits 0.
+
+    Returns the sha256 prefix of the JSON report, its entries by weight
+    and the child's own peak RSS in MB.
+    """
     out, err = tmp_path / "report.json", tmp_path / "stderr.txt"
     env = {**os.environ, "PYTHONPATH": str(Path(polarspec.__file__).parents[1])}
     argv = [sys.executable, "-m", "polarspec.cli", "avg-spectrum", "--n", str(n), "--k", str(k),
-            "--construction", "pw", "--dmax", "32", "--out", str(out)]
+            "--construction", construction, "--dmax", str(d_max), "--out", str(out)]
     with open(err, "w") as fh:
         proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=fh, env=env)
-    deadline = time.monotonic() + 300
+    deadline = time.monotonic() + timeout
     while not (waited := os.wait4(proc.pid, os.WNOHANG))[0]:  # this child's own usage
         if time.monotonic() > deadline:
             proc.kill()
             proc.wait()
-            pytest.fail("PW(2^20, 2^19) did not finish in 300 s")
+            pytest.fail(f"{construction.upper()}({n}, {k}) did not finish in {timeout} s")
         time.sleep(0.1)
     _, status, usage = waited
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0, err.read_text()
-    entries = {e["d"]: e for e in json.loads(out.read_text())["entries"]}
+    assert os.waitstatus_to_exitcode(status) == 0, err.read_text()
+    report = out.read_bytes()
+    entries = {e["d"]: e for e in json.loads(report)["entries"]}
+    return hashlib.sha256(report).hexdigest()[:16], entries, usage.ru_maxrss / 1024  # KB on Linux
+
+
+def test_rm_n262144_at_dmin(tmp_path):
+    # RM(2^18, 2^17) at d_max = d_min: the report is pinned (recorded at
+    # a0cc74d), the d_min entry equals the closed-form avg_nmin, and the
+    # child stays within 150 MB (392 MB at a0cc74d, which built all 2^(i-j)
+    # weights before descending). The numerator is compared as text:
+    # int() refuses its 26,818 digits.
+    n, k = 1 << 18, 1 << 17
+    digest, entries, rss_mb = _run_cli(tmp_path, n, k, "rm", 512)
+    assert digest == "4d30195cd07c7306"
+    d_min, nmin = avg_nmin(construct_rm(n, k))
+    assert (d_min, nmin.decimal(6)) == (512, "360222723.281250")
+    assert (entries[512]["num"], entries[512]["exp2"]) == (int_text(nmin.num), nmin.exp)
+    assert rss_mb <= 150
+
+
+@_OPT_IN
+def test_rm_n1048576_at_dmin(tmp_path):
+    # RM(2^20, 2^19) at d_max = d_min = 1024 keeps 92,378 rows whose
+    # weights 2^(i-j) take 4.6 GiB in all; formed one at a time, at the
+    # leaf that adds each row, they fit in 145 MB. The report digest was
+    # recorded with that code.
+    n, k = 1 << 20, 1 << 19
+    digest, entries, rss_mb = _run_cli(tmp_path, n, k, "rm", 1024)
+    assert digest == "9086ab177191b809"
+    d_min, nmin = avg_nmin(construct_rm(n, k))
+    assert (d_min, nmin.decimal(6)) == (1024, "2872471680.102539")
+    assert (entries[1024]["num"], entries[1024]["exp2"]) == (int_text(nmin.num), nmin.exp)
+    assert rss_mb <= 500
+
+
+@_OPT_IN
+def test_pw_n1048576_at_twice_dmin(tmp_path):
+    # PW(2^20, 2^19) up to 2 * d_min: the d_min entry equals the
+    # closed-form avg_nmin, and the child process stays within 500 MB
+    n, k = 1 << 20, 1 << 19
+    _, entries, rss_mb = _run_cli(tmp_path, n, k, "pw", 32)
     d_min, nmin = avg_nmin(construct_pw(n, k))
     assert (d_min, nmin) == (16, DyadicRational(196608))
     assert DyadicRational(int(entries[16]["num"]), entries[16]["exp2"]) == nmin
     assert (entries[32]["value"], entries[32]["exp2"]) == ("20406566912.375000", 140599)
-    assert usage.ru_maxrss <= 500 * 1024  # kilobytes on Linux
+    assert rss_mb <= 500

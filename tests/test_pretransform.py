@@ -150,7 +150,7 @@ def test_fixed_transform_leaves_coset_spectra_alone(m):
     """
     n = 1 << m
     for i in range(1, n + 1):
-        expect = Counter(coset_spectrum(m, i).nonzero())
+        expect = Counter({d: c for d, c in enumerate(coset_spectrum(m, i)) if c})
         for mask_bits in range(1 << (n - i)):
             g = row_bits(m, i)
             for off, j in enumerate(range(i + 1, n + 1)):
@@ -232,19 +232,25 @@ class TestCrcTransform:
         assert set(t.rows) == set(inner.info_set)
 
     def test_rows_encode_systematic_crc(self):
-        # every single-bit message: appended bits must satisfy g | (D^r m(D) + crc(D))
-        outer = construct_pw(32, 12)
-        k, g = 8, parse_poly("10011")
-        r = g.bit_length() - 1
-        inner, t = crc_transform(outer, k, g)
-        crc_idx = outer.info_set[k:]
-        for j, i in enumerate(inner.info_set, start=1):
-            mask = t.rows[i]
-            poly = 1 << (r + k - j)
-            for tpos, cidx in enumerate(crc_idx, start=1):
-                if mask >> (cidx - 1) & 1:
-                    poly ^= 1 << (r - tpos)
-            assert _poly_mod(poly, g) == 0
+        # every single-bit message: appended bits must satisfy g | (D^r m(D) + crc(D));
+        # g with and without a constant term, g = D^r, and degrees up to 12
+        cases = [(construct_pw(32, 12), "10011"), (construct_rm(64, 20), "1100"),
+                 (construct_pw(16, 10), "1000000"), (construct_pw(128, 40), "100000111"),
+                 (construct_rm(512, 100), "1100000001111")]
+        for outer, text in cases:
+            g = parse_poly(text)
+            r = g.bit_length() - 1
+            k = outer.k - r
+            inner, t = crc_transform(outer, k, g)
+            assert list(t.rows) == list(inner.info_set)
+            crc_idx = outer.info_set[k:]
+            for j, i in enumerate(inner.info_set, start=1):
+                mask = t.rows[i]
+                poly = 1 << (r + k - j)
+                for tpos, cidx in enumerate(crc_idx, start=1):
+                    if mask >> (cidx - 1) & 1:
+                        poly ^= 1 << (r - tpos)
+                assert _poly_mod(poly, g) == 0, (outer.n, text, j)
 
     def test_crc_entries_only_in_crc_columns(self):
         outer = construct_rm(16, 8)
