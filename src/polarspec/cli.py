@@ -39,12 +39,12 @@ def _int_at_least(low: int):
     return parse
 
 
-def _method(text: str) -> tuple[str, int | None]:
-    """--method text -> (method, list size or None)."""
+def _method(text: str) -> int | None:
+    """--method text -> the SCL list size, None for brute force."""
     if text == "brute":
-        return "brute", None
+        return None
     if text.startswith("scl:"):
-        return "scl", _int_at_least(1)(text[4:])
+        return _int_at_least(1)(text[4:])
     raise argparse.ArgumentTypeError(f"unknown method {text!r} (expected brute or scl:LIST_SIZE)")
 
 
@@ -155,7 +155,7 @@ def cmd_avg_spectrum(args) -> int:
 
 
 def cmd_exact_spectrum(args) -> int:
-    desc, (method, list_size) = args.transform, args.method
+    desc, list_size = args.transform, args.method
     if desc["kind"] == "crc" and args.k is None:
         raise argparse.ArgumentTypeError("--k (message bits) is required with a crc transform")
     # a crc transform keeps --k message bits of the K' = k_outer rows constructed
@@ -168,7 +168,7 @@ def cmd_exact_spectrum(args) -> int:
         transform = pac_transform(config, desc["poly"])
     else:
         transform = identity_transform(config)
-    if method == "brute":
+    if list_size is None:
         try:
             hist = exact_spectrum(config, transform)
         except BudgetError as exc:
@@ -181,7 +181,6 @@ def cmd_exact_spectrum(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    method, list_size = args.method
     threads = args.threads
     if threads is None:
         raw = os.environ.get(THREADS_ENV, "1")
@@ -192,11 +191,9 @@ def cmd_ensemble(args) -> int:
         if threads < 1:
             raise argparse.ArgumentTypeError(f"{THREADS_ENV} must be >= 1, got {threads}")
     config = _construct(args.construction, args.n, args.k)
-    hist = ensemble_average_mc(
-        config, args.seed, args.samples, method=method, list_size=list_size, threads=threads
-    )
+    hist = ensemble_average_mc(config, args.seed, args.samples, list_size=args.method, threads=threads)
     report = report_from_histogram(config, args.construction, hist, args.round,
-                                   transform={"kind": "random"}, list_size=list_size)
+                                   transform={"kind": "random"}, list_size=args.method)
     return _emit(report, args)
 
 

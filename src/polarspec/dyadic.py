@@ -2,7 +2,9 @@
 
 Every probability and expected count produced by the recursion engine is
 dyadic, so this is the exact carrier type for results that must survive
-weights where floats underflow and counts overflow 64 bits.
+weights where floats underflow and counts overflow 64 bits. The engine
+sums numerators over one power of two as ints and hands the result over
+in this type; arithmetic on results goes through fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -42,10 +44,9 @@ class DyadicRational:
     """num / 2^exp with num >= 0 and exp >= 0, kept in lowest terms.
 
     Lowest terms means num is odd whenever exp > 0; zero is stored as
-    (0, 0). Supports the arithmetic the spectrum code needs: addition,
-    multiplication, shifts by powers of two, ordering, and exact decimal
-    rendering with round-half-to-even. Compares and hashes exactly
-    against ints as well.
+    (0, 0). A value compares, orders and hashes exactly, against ints as
+    well, and renders as an exact decimal with round-half-to-even. It
+    carries no arithmetic: to add or multiply values, take to_fraction().
     """
 
     __slots__ = ("num", "exp")
@@ -69,49 +70,11 @@ class DyadicRational:
     def __setattr__(self, name, value):
         raise AttributeError("DyadicRational is immutable")
 
-    @classmethod
-    def from_fraction(cls, frac: Fraction) -> "DyadicRational":
-        den = frac.denominator
-        if den & (den - 1):
-            raise ValueError(f"{frac} is not dyadic")
-        return cls(frac.numerator, den.bit_length() - 1)
-
     def to_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
 
-    def is_zero(self) -> bool:
-        return self.num == 0
-
     def __bool__(self) -> bool:
         return self.num != 0
-
-    def is_integer(self) -> bool:
-        return self.exp == 0
-
-    def shifted(self, k: int) -> "DyadicRational":
-        """Multiply by 2^k (k may be negative)."""
-        if k >= 0:
-            return DyadicRational(self.num << k, self.exp)
-        return DyadicRational(self.num, self.exp - k)
-
-    def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        e = max(self.exp, other.exp)
-        return DyadicRational(
-            (self.num << (e - self.exp)) + (other.num << (e - other.exp)), e
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, DyadicRational):
-            return DyadicRational(self.num * other.num, self.exp + other.exp)
-        if isinstance(other, int):
-            if other < 0:
-                raise ValueError("negative factor")
-            return DyadicRational(self.num * other, self.exp)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, int):

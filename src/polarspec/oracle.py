@@ -238,7 +238,6 @@ def ensemble_average_mc(
     config: CodeConfig,
     master_seed: int,
     samples: int,
-    method: str = "brute",
     list_size: int | None = None,
     threads: int = 1,
 ) -> WeightHistogram:
@@ -246,17 +245,16 @@ def ensemble_average_mc(
 
     Per-sample seeds come from derive_seeds(master_seed, samples), so the
     result is reproducible for any thread count; min(threads, samples,
-    CPUs) worker threads run. method "brute" measures each sample
-    exactly; "scl" uses the low-weight collector with the given list size
-    and propagates its saturation flags.
+    CPUs) worker threads run. With list_size None each sample is measured
+    exactly by brute force; with an int list_size >= 1 the low-weight
+    collector of that list size measures it and its saturation flags
+    propagate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if method not in ("brute", "scl"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "scl":
-        if list_size is None or list_size < 1:
-            raise ValueError("scl method requires a positive list_size")
+    if list_size is not None:
+        if list_size < 1:
+            raise ValueError(f"list_size must be >= 1, got {list_size}")
         from .scl import collect_low_weight
     elif config.k > BRUTE_MAX_K:
         raise BudgetError(f"K={config.k} exceeds brute-force budget {BRUTE_MAX_K}")
@@ -266,7 +264,7 @@ def ensemble_average_mc(
 
     def one(seed: int) -> WeightHistogram:
         t = random_transform(config, seed)
-        if method == "brute":
+        if list_size is None:
             return exact_spectrum(config, t)
         return collect_low_weight(config, t, list_size)
 
@@ -291,5 +289,5 @@ def ensemble_average_mc(
         samples=samples,
         seed=master_seed,
         variance=variance,
-        saturated=tuple(sat) if method == "scl" else None,
+        saturated=tuple(sat) if list_size is not None else None,
     )

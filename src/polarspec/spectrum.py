@@ -233,15 +233,16 @@ def avg_nmin(config: CodeConfig) -> tuple[int, DyadicRational]:
     """Minimum codeword weight and its ensemble-average multiplicity.
 
     Only information rows whose transform row weight equals the minimum
-    can produce minimum-weight codewords, and each does so with its
-    power-of-two attainment probability.
+    can produce minimum-weight codewords: row j (ascending) of those does
+    so with probability p_min, a power of two, times its 2^(K-j)
+    messages. Each term is 2^t, so the sum is one integer over the
+    lowest power of two, as in verify_average.
     """
-    d_min = min_row_weight(config)
-    total = DyadicRational(0)
-    for j, i in enumerate(config.info_set, start=1):
-        if row_weight(config.m, i) == d_min:
-            total = total + DyadicRational(1 << (config.k - j), 0) * p_min(config.m, i)
-    return d_min, total
+    m, k, d_min = config.m, config.k, min_row_weight(config)
+    t = [k - j - p_min(m, i).exp
+         for j, i in enumerate(config.info_set, start=1) if row_weight(m, i) == d_min]
+    low = min(t)
+    return d_min, DyadicRational(sum(1 << (x - low) for x in t) << max(low, 0), max(-low, 0))
 
 
 def verify_average(spec: AverageSpectrum) -> list[str]:

@@ -22,7 +22,6 @@ def test_zero_normalizes_to_0_0():
 def test_integers_keep_exp_zero():
     x = DyadicRational(272, 0)
     assert (x.num, x.exp) == (272, 0)
-    assert x.is_integer()
 
 
 def test_negative_inputs_rejected():
@@ -39,22 +38,6 @@ def test_numpy_integers_accepted_floats_rejected():
         DyadicRational(4.0)
     with pytest.raises(TypeError):
         DyadicRational(4, 1.0)
-
-
-def test_add_aligns_exponents():
-    assert DyadicRational(1, 1) + DyadicRational(1, 2) == DyadicRational(3, 2)
-    assert DyadicRational(1, 3) + DyadicRational(7, 3) == DyadicRational(1, 0)
-
-
-def test_mul():
-    assert DyadicRational(3, 1) * DyadicRational(5, 2) == DyadicRational(15, 3)
-    assert 4 * DyadicRational(3, 1) == DyadicRational(6, 0)
-
-
-def test_shifted_both_directions():
-    x = DyadicRational(5, 3)
-    assert x.shifted(3) == DyadicRational(5, 0)
-    assert x.shifted(-2) == DyadicRational(5, 5)
 
 
 def test_ordering():
@@ -96,13 +79,6 @@ def test_int_comparisons_match_fractions(num, exp, other):
         assert hash(x) == hash(other)
 
 
-def test_fraction_round_trip():
-    f = Fraction(88541, 32)
-    assert DyadicRational.from_fraction(f).to_fraction() == f
-    with pytest.raises(ValueError):
-        DyadicRational.from_fraction(Fraction(1, 3))
-
-
 @given(st.integers(1, 1 << 64), st.integers(0, 5000), st.integers(0, 5000))
 @example(3, 0, 1075)  # 1.5 times the smallest subnormal: a tie, rounded to even
 @example(1 + (1 << 64), 1960, 1000)  # 2^1024 after rounding: overflows
@@ -119,9 +95,18 @@ def test_float_matches_a_fraction_reference(mantissa, shift, exp):
         assert float(x) == expect
 
 
+def test_no_arithmetic():
+    # sums and products of exact values go through to_fraction()
+    for name in ("__add__", "__mul__", "__rmul__", "shifted", "from_fraction", "is_zero", "is_integer"):
+        assert not hasattr(DyadicRational, name)
+    with pytest.raises(TypeError):
+        DyadicRational(1, 1) + DyadicRational(1, 2)
+    with pytest.raises(TypeError):
+        2 * DyadicRational(3, 1)
+
+
 def test_bool_and_is_zero():
     assert not DyadicRational(0)
-    assert DyadicRational(0).is_zero()
     assert DyadicRational(1, 5)
 
 
@@ -152,12 +137,6 @@ def test_normalized_invariant(num, exp):
     x = DyadicRational(num, exp)
     assert x.num == 0 and x.exp == 0 or x.exp == 0 or x.num % 2 == 1
     assert x.to_fraction() == Fraction(num, 1 << exp)
-
-
-@given(st.integers(0, 1 << 40), st.integers(0, 40), st.integers(0, 1 << 40), st.integers(0, 40))
-def test_add_matches_fractions(a, ae, b, be):
-    x, y = DyadicRational(a, ae), DyadicRational(b, be)
-    assert (x + y).to_fraction() == x.to_fraction() + y.to_fraction()
 
 
 @given(st.integers(0, 1 << 40), st.integers(0, 40), st.integers(0, 6))

@@ -13,7 +13,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -49,30 +48,48 @@ def test_n65536_reports_are_pinned(capsys, construction, d_max):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == REPORT_DIGESTS[construction, d_max]
 
 
+# The child runs the CLI, then writes its own peak RSS to stderr. Linux's
+# ru_maxrss (wait4, getrusage) is no use here: it keeps the high-water
+# mark of the memory the child held before exec, which is the launcher's.
+_CHILD = """import sys, polarspec.cli
+rc = polarspec.cli.main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(*(line for line in status if line.startswith("VmHWM:")), end="", file=sys.stderr)
+sys.exit(rc)
+"""
+
+
 def _run_cli(tmp_path, n, k, construction, d_max, timeout=300):
     """Run avg-spectrum in a child process and check that it exits 0.
 
     Returns the sha256 prefix of the JSON report, its entries by weight
     and the child's own peak RSS in MB.
     """
-    out, err = tmp_path / "report.json", tmp_path / "stderr.txt"
+    out = tmp_path / "report.json"
     env = {**os.environ, "PYTHONPATH": str(Path(polarspec.__file__).parents[1])}
-    argv = [sys.executable, "-m", "polarspec.cli", "avg-spectrum", "--n", str(n), "--k", str(k),
+    argv = [sys.executable, "-c", _CHILD, "avg-spectrum", "--n", str(n), "--k", str(k),
             "--construction", construction, "--dmax", str(d_max), "--out", str(out)]
-    with open(err, "w") as fh:
-        proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=fh, env=env)
-    deadline = time.monotonic() + timeout
-    while not (waited := os.wait4(proc.pid, os.WNOHANG))[0]:  # this child's own usage
-        if time.monotonic() > deadline:
-            proc.kill()
-            proc.wait()
-            pytest.fail(f"{construction.upper()}({n}, {k}) did not finish in {timeout} s")
-        time.sleep(0.1)
-    _, status, usage = waited
-    assert os.waitstatus_to_exitcode(status) == 0, err.read_text()
+    try:
+        proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{construction.upper()}({n}, {k}) did not finish in {timeout} s")
+    assert proc.returncode == 0, proc.stderr
+    label, kb, unit = proc.stderr.splitlines()[-1].split()
+    assert (label, unit) == ("VmHWM:", "kB"), proc.stderr
     report = out.read_bytes()
     entries = {e["d"]: e for e in json.loads(report)["entries"]}
-    return hashlib.sha256(report).hexdigest()[:16], entries, usage.ru_maxrss / 1024  # KB on Linux
+    return hashlib.sha256(report).hexdigest()[:16], entries, int(kb) / 1024
+
+
+def test_child_rss_excludes_the_launcher(tmp_path):
+    # a launcher holding 200 MB, touched, does not show in the child's
+    # peak: ru_maxrss from wait4 read 213.7 MB for a 58 MB child this way
+    ballast = b"\x01" * (200 << 20)
+    _, entries, rss_mb = _run_cli(tmp_path, 64, 32, "pw", 64)
+    del ballast
+    assert entries[64]["value"] == "1.000000"
+    assert rss_mb <= 150
 
 
 def test_rm_n262144_at_dmin(tmp_path):

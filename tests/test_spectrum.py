@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -116,10 +117,7 @@ class TestAverageSpectrum:
             for build in (construct_rm, construct_pw):
                 cfg = build(n, k)
                 s = avg_spectrum(cfg)
-                total = DyadicRational(0)
-                for d in range(1, n + 1):
-                    total = total + s[d]
-                assert total == DyadicRational((1 << k) - 1)
+                assert sum(s[d].to_fraction() for d in range(1, n + 1)) == (1 << k) - 1
 
     def test_d_max_truncation(self):
         cfg = construct_pw(32, 16)
@@ -226,13 +224,13 @@ def test_average_equals_row_by_row_coset_sum(seed):
     n = 1 << m
     info = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
     cfg = CodeConfig(m, info)
-    expect = [DyadicRational(0)] * (n + 1)
+    expect = [Fraction(0)] * (n + 1)
     for j, i in enumerate(info, start=1):
         counts = coset_spectrum(m, i)
         for d in range(1, n + 1):
-            expect[d] = expect[d] + DyadicRational(counts[d] << (cfg.k - j), n - i)
+            expect[d] += Fraction(counts[d] << (cfg.k - j), 1 << (n - i))
     spec = avg_spectrum(cfg)
-    assert all(spec[d] == expect[d] for d in range(1, n + 1))
+    assert all(spec[d].to_fraction() == expect[d] for d in range(1, n + 1))
 
 
 @pytest.mark.parametrize("build", [construct_rm, construct_pw])
@@ -361,6 +359,16 @@ def test_coset_spectra_are_symmetric(data):
         assert counts == counts[::-1]
     else:
         assert counts == (0,) * n + (1,)
+
+
+@given(st.data())
+def test_avg_nmin_equals_the_spectrum_on_any_info_set(data):
+    # p_min and the recursion are independent routes to E[N_dmin]
+    m = data.draw(st.integers(1, 8))
+    info = data.draw(st.sets(st.integers(1, 1 << m), min_size=1))
+    cfg = CodeConfig(m, tuple(sorted(info)))
+    d_min = min_row_weight(cfg)
+    assert avg_nmin(cfg) == (d_min, avg_spectrum(cfg, d_min)[d_min])
 
 
 def _mixed_or_open_info_set(rng: random.Random, m: int, with_row_1: bool) -> CodeConfig:
