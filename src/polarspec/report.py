@@ -14,6 +14,7 @@ import functools
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .construct import CodeConfig
@@ -91,6 +92,10 @@ def _canonical(obj, depth: int) -> str:
     one it takes the C path, so each container of scalars is encoded
     flat with ",\n" plus the item indent as separator; encoded strings
     escape newlines, so every raw newline in its output is a separator.
+    A list of non-empty plain dicts of scalars, such as a report's
+    entries, is encoded flat in one call at the dicts' item indent; a "}"
+    before a separator can only close an item, so each "},\n" + indent +
+    "{" is an item boundary, rewritten to the list's own indent.
     """
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         return _flat_encoder(0)(obj)  # a scalar, [] or {}
@@ -102,6 +107,13 @@ def _canonical(obj, depth: int) -> str:
         body = f",\n{inner}".join(
             f"{encode_basestring_ascii(k)}: {_canonical(v, depth + 1)}" for k, v in sorted(obj.items())
         )
+    elif {dict}.issuperset(map(type, obj)) and all(obj) and _SCALARS.issuperset(
+        map(type, chain.from_iterable(map(dict.values, obj)))
+    ):
+        inner2 = inner + "  "
+        flat = _flat_encoder(depth + 2)(obj)[2:-2]  # without the outer "[{" and "}]"
+        items = flat.replace(f"}},\n{inner2}{{", f"\n{inner}}},\n{inner}{{\n{inner2}")
+        body = f"{{\n{inner2}{items}\n{inner}}}"
     else:
         body = f",\n{inner}".join(_canonical(v, depth + 1) for v in obj)
     left, right = ("{", "}") if is_dict else ("[", "]")

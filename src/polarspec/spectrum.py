@@ -17,13 +17,16 @@ is its row, of weight 2^popcount(i - 1), so rows heavier than d_max are
 dropped once, at entry; descending keeps every row within its branch's
 d_max, and only branches holding a row reach the maps. Rows keep their
 indices: a branch is a contiguous range of the ascending rows, split at
-its midpoint by bisection. Branches of length 2^TABLE_LEVEL and below
-read their cosets' full enumerators from one table, built once with the
-same two maps.
+its midpoint by bisection. Branches of length 2^TABLE_LEVEL = 64 and
+below are leaves: they read their cosets' full enumerators from a table,
+built once per process with the same two maps (~3 ms at level 6, ~25 ms
+at level 7, a cost every one-shot CLI run pays) and stored by column,
+so a leaf sums each weight's column over its rows in one call.
 
 A row's weight 2^e travels as its exponent e, down to the leaf that adds
-the row, so no list of weights is held: the 92,378 rows RM(2^20, 2^19)
-keeps at d_max = 1024 have weights of 4.6 GiB in all.
+the row and shifts its table entries by e, so no list of weights is
+held: the 92,378 rows RM(2^20, 2^19) keeps at d_max = 1024 have weights
+of 4.6 GiB in all.
 
 Everything here is integer or dyadic arithmetic; no floats are involved,
 so results are reproducible bit-for-bit at any block length.
@@ -35,7 +38,7 @@ import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, lshift
 
 from .construct import CodeConfig, min_row_weight
 from .dyadic import DyadicRational
@@ -51,7 +54,7 @@ __all__ = [
     "verify_average",
 ]
 
-TABLE_LEVEL = 4  # branches of length <= 2^TABLE_LEVEL sum table rows
+TABLE_LEVEL = 6  # branches of length <= 2^TABLE_LEVEL sum table columns
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,20 +107,21 @@ def _add_low_map(out: list[int], a: list[int], half: int) -> None:
 
 @functools.cache
 def _coset_table(level: int) -> tuple[tuple[int, ...], ...]:
-    """Full enumerators S_1..S_n of the cosets at length n = 2^level,
-    built from the level below with the recursion's two maps."""
+    """Full enumerators of the cosets at length n = 2^level, by column:
+    entry [d][i - 1] counts the weight-d members of coset i. Built from
+    the level below with the recursion's two maps."""
     if level == 0:
-        return ((0, 1),)  # the single coset {1}
+        return ((0,), (1,))  # the single coset {1}
     half = 1 << (level - 1)
     low, high = [], []
-    for s in _coset_table(level - 1):
+    for s in zip(*_coset_table(level - 1)):
         out = [0] * (2 * half + 1)
         _add_low_map(out, list(s), half)
-        low.append(tuple(out))
+        low.append(out)
         out = [0] * (2 * half + 1)
         out[::2] = s
-        high.append(tuple(out))
-    return tuple(low + high)
+        high.append(out)
+    return tuple(zip(*low, *high))
 
 
 def _weighted_sum(level: int, rows: list[tuple[int, int]], d_max: int) -> list[int]:
@@ -126,7 +130,7 @@ def _weighted_sum(level: int, rows: list[tuple[int, int]], d_max: int) -> list[i
     S_i is the weight enumerator of coset i at length 2^level; rows ascend
     by index. Coset i has no member lighter than row i, so rows heavier
     than d_max add nothing and are dropped here, once. The rest pass down
-    as (i, e) pairs: a weight 2^e is formed only where its row is added.
+    as (i, e) pairs, and the table leaves shift their entries by e.
     """
     light = [(i, e) for i, e in rows if 1 << (i - 1).bit_count() <= d_max]
     return _branch_sum(level, 0, light, d_max)
@@ -139,21 +143,26 @@ def _branch_sum(level: int, base: int, rows: list[tuple[int, int]], d_max: int) 
     Every row is at most d_max heavy within the branch: the high half
     halves both its rows' weights and d_max, the low half keeps both, and
     the mirror drops row n, the one row heavier than n/2. Rows keep their
-    exponents all the way down. At TABLE_LEVEL and below the sum reads the
-    table, forming each row's weight 2^e once. Above it, cosets i < n hold
-    the complement of each member and coset n is the all-ones word alone,
-    so above n/2 the sum is the mirror of degrees 0..n/2 plus 2^e at x^n
-    for row n. Up to n/2, each half's rows are summed in one call a level
-    down and mapped once: O(N^2) coefficient operations for a full
-    spectrum, and a truncated one visits only branches holding a row.
+    exponents all the way down. At TABLE_LEVEL and below the branch is a
+    leaf: entry d of the sum is column d of the table, read at the rows'
+    cosets and shifted by their exponents, summed in one call. Above it,
+    cosets i < n hold the complement of each member and coset n is the
+    all-ones word alone, so above n/2 the sum is the mirror of degrees
+    0..n/2 plus 2^e at x^n for row n. Up to n/2, each half's rows are
+    summed in one call a level down and mapped once: O(N^2) coefficient
+    operations for a full spectrum, and a truncated one visits only
+    branches holding a row.
     """
     if level <= TABLE_LEVEL:
-        table = _coset_table(level)
-        out = [0] * (d_max + 1)
-        for i, e in rows:
-            w = 1 << e
-            out = [o + w * c for o, c in zip(out, table[i - base - 1])]
-        return out
+        if not rows:
+            return [0] * (d_max + 1)
+        cols = _coset_table(level)[: d_max + 1]
+        if len(rows) == 1:  # itemgetter of one index returns the item, not a tuple
+            (i, e), = rows
+            return [col[i - base - 1] << e for col in cols]
+        get = itemgetter(*(i - base - 1 for i, _ in rows))
+        es = [e for _, e in rows]
+        return [sum(map(lshift, get(col), es)) for col in cols]
     n, half = 1 << level, 1 << (level - 1)
     if d_max > half:
         top = bisect_left(rows, base + n, key=itemgetter(0))  # rows[top] is row n if present

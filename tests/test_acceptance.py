@@ -17,6 +17,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from polarspec import spectrum
 from polarspec.construct import CodeConfig, construct_pw, construct_rm, min_row_weight
 from polarspec.dyadic import DyadicRational
 from polarspec.kernel import row_bits, row_weight
@@ -174,6 +175,14 @@ def test_recursion_matches_exhaustive_ensemble():
         f"{len(family)} configs, {len(mismatches)} mismatches in {elapsed:.1f}s",
     )
     assert ok, mismatches[:3]
+
+
+def test_recursion_below_the_table_matches_exhaustive_ensemble(monkeypatch):
+    # every family code is at most 2^TABLE_LEVEL long, so at the default
+    # level the recursion above only reads the table; at level 0 it runs
+    # the maps and the mirror on every branch longer than 1
+    monkeypatch.setattr(spectrum, "TABLE_LEVEL", 0)
+    test_recursion_matches_exhaustive_ensemble()
 
 
 def test_coset_invariants_and_average_mass():

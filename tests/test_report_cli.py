@@ -151,6 +151,7 @@ _REPORT = st.builds(
     transform=st.none() | st.dictionaries(_TRICKY, st.one_of(
         _TRICKY, st.integers(), st.lists(st.integers(), max_size=3).map(tuple),
         st.builds(OrderedDict, st.dictionaries(_TRICKY, _SCALAR, max_size=2)),
+        st.lists(st.dictionaries(_TRICKY, _SCALAR, max_size=3), min_size=1, max_size=3),
     ), max_size=4),
     samples=st.none() | st.integers(0, 1000),
     seed=st.none() | st.integers(0, 1 << 64),
@@ -167,7 +168,21 @@ _REPORT = st.builds(
 @example(SpectrumReport(code={}, method="x", entries=[{}, {"d": 1}, {}]))
 # past ~50000 items json's C encoder hands back several chunks
 @example(SpectrumReport(code={"info_set": list(range(1, 70_002))}, method="x"))
+# the item boundary the one-call entries encoding rewrites, inside strings
+@example(SpectrumReport(code={}, method="},\n      {", entries=[
+    {"d": 1, "value": "},\n      {"}, {"value": '"},\n      {"d": 2'}, {"num": "},\n    {"}]))
+# flat dicts next to {} or a nested value take the per-item path
+@example(SpectrumReport(code={}, method="x", entries=[{"d": 1}, {"d": [2]}, {"d": {"e": 3}}],
+                        transform={"t": [{"a": 1}, {}, {"b": 2}]}))
 def test_to_json_matches_json_dumps(rep):
+    assert rep.to_json() == json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def test_to_json_matches_json_dumps_past_the_chunk_size():
+    # the entries go to json's C encoder in one call, which hands back
+    # several chunks past ~50000 items; json.dumps with an indent takes
+    # ~0.4 s here, past hypothesis's deadline, so this is not an @example
+    rep = SpectrumReport(code={}, method="x", entries=[{"d": d, "num": "1"} for d in range(50_001)])
     assert rep.to_json() == json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import os
 import random
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from polarspec import spectrum
 from polarspec.construct import CodeConfig, construct_pw, construct_rm, min_row_weight
 from polarspec.dyadic import DyadicRational
 from polarspec.kernel import row_bits, row_weight
@@ -322,6 +324,7 @@ def test_truncated_spectrum_is_pinned(n, name, k, d_max):
     assert _spectrum_digest(spec) == PINNED_TRUNCATED[n, name, k, d_max]
 
 
+@functools.cache
 def _enumerated_coset_counts(m: int, i: int) -> list[int]:
     # walk row i + span(rows i+1..N) in Gray order, one popcount per member
     n = 1 << m
@@ -335,10 +338,21 @@ def _enumerated_coset_counts(m: int, i: int) -> list[int]:
     return counts
 
 
-@pytest.mark.parametrize(
-    "m,i", [(m, i) for m in range(1, 5) for i in range(1, (1 << m) + 1)]
-    + [(5, i) for i in range(18, 33)],
+# every coset with at most 2^18 members up to N = 64, the top table level
+ENUMERATED_COSETS = (
+    [(m, i) for m in range(1, 5) for i in range(1, (1 << m) + 1)]
+    + [(5, i) for i in range(18, 33)] + [(6, i) for i in range(46, 65)]
 )
+
+
+@pytest.fixture
+def below_the_table(monkeypatch):
+    """TABLE_LEVEL 0: every branch longer than 1 runs the maps and the
+    mirror, which the default level reads from the table up to N = 64."""
+    monkeypatch.setattr(spectrum, "TABLE_LEVEL", 0)
+
+
+@pytest.mark.parametrize("m,i", ENUMERATED_COSETS)
 def test_coset_spectrum_matches_enumeration(m, i):
     # an independent count of every member: tests the complement symmetry
     # the recursion mirrors on, and the mirrored upper half itself
@@ -346,6 +360,25 @@ def test_coset_spectrum_matches_enumeration(m, i):
     if i < 1 << m:
         assert counts == counts[::-1]
     assert list(coset_spectrum(m, i)) == counts
+
+
+@pytest.mark.parametrize("m,i", ENUMERATED_COSETS)
+def test_coset_spectrum_below_the_table_matches_enumeration(m, i, below_the_table):
+    test_coset_spectrum_matches_enumeration(m, i)
+
+
+@given(st.data())
+def test_every_table_level_gives_the_same_spectrum(data):
+    m = data.draw(st.integers(1, 8))
+    info = data.draw(st.sets(st.integers(1, 1 << m), min_size=1))
+    cfg = CodeConfig(m, tuple(sorted(info)))
+    d_max = data.draw(st.integers(1, 1 << m))
+    spectra = []
+    with pytest.MonkeyPatch.context() as mp:
+        for level in range(8):
+            mp.setattr(spectrum, "TABLE_LEVEL", level)
+            spectra.append(avg_spectrum(cfg, d_max))
+    assert all(s == spectra[0] for s in spectra[1:])
 
 
 @given(st.data())
@@ -382,8 +415,11 @@ def _mixed_or_open_info_set(rng: random.Random, m: int, with_row_1: bool) -> Cod
     return CodeConfig(m, tuple(sorted(info)))
 
 
+MIRROR_SEEDS = range(11)  # seeds 8-10: N = 8, 16, 32 again
+
+
 @pytest.mark.parametrize("with_row_1", [True, False])
-@pytest.mark.parametrize("seed", range(11))  # seeds 8-10: N = 8, 16, 32 again
+@pytest.mark.parametrize("seed", MIRROR_SEEDS)
 def test_truncation_is_prefix_around_the_mirror(seed, with_row_1):
     rng = random.Random(seed)
     m = 2 + seed % 7  # N = 4 .. 256
@@ -395,3 +431,9 @@ def test_truncation_is_prefix_around_the_mirror(seed, with_row_1):
     for d_max in (max(w - 1, 1), w, n // 4, n // 2 - 1, n // 2, n // 2 + 1, n - 1):
         part = avg_spectrum(cfg, d_max=d_max)
         assert [part[d] for d in range(1, d_max + 1)] == [full[d] for d in range(1, d_max + 1)]
+
+
+@pytest.mark.parametrize("with_row_1", [True, False])
+@pytest.mark.parametrize("seed", MIRROR_SEEDS)
+def test_truncation_below_the_table_is_prefix_around_the_mirror(seed, with_row_1, below_the_table):
+    test_truncation_is_prefix_around_the_mirror(seed, with_row_1)
