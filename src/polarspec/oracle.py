@@ -1,17 +1,20 @@
 """Independent ground truth by enumeration: brute-force spectra for a
 fixed transform, exhaustive ensemble averages, and Monte-Carlo estimates.
 
-Both enumeration routes share one kernel. A block of up to
-2^BLOCK_BITS codewords (bit-packed, one row of uint64 words each) is
-filled in place by doubling; further generator rows are walked in Gray
-code order, each step XORing one row into the whole block in place.
+Both enumeration routes are one walk, _walk. Its steps are generator
+rows and, for the ensemble, free T entries; an entry adds a word to one
+row. A block of up to 2^BLOCK_BITS codewords (bit-packed, one row of
+uint64 words each) is filled in place by doubling, one step per bit of
+the block index; the remaining steps are walked in Gray code order,
+each XORing one word into the whole block, or into the codewords that
+contain the entry's row, in place.
 
 Complement pairing: T is upper triangular, so its row N is e_N, and when
 N is an information index the generator row N of T·F_N is the all-ones
-word. Every codeword c then has the partner c + 1^N of weight N - w(c),
-so the kernel enumerates only the span of the other K-1 rows, with
-histogram h, and A_d = h_d + h_(N-d). Without row N every codeword is
-enumerated.
+word, the last row. Every codeword c then has the partner c + 1^N of
+weight N - w(c), so the walk enumerates only the span of the other K-1
+rows, with histogram h, and A_d = h_d + h_(N-d). Without row N every
+codeword is enumerated.
 
 Nothing in this module uses the recursion engine; agreement between the
 two is the decisive cross-validation and is enforced by the test suite.
@@ -20,6 +23,7 @@ two is the decisive cross-validation and is enforced by the test suite.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,68 +106,79 @@ def _hist_of_block(block: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(weights, minlength=n + 1)
 
 
-def _codeword_block(rows: list[int], n: int) -> np.ndarray:
-    """All 2^len(rows) XOR combinations of rows: row j combines the rows
-    whose positions are the set bits of j. Filled in place by doubling."""
-    words = _wordcount(n)
-    block = np.zeros((1 << len(rows), words), dtype=np.uint64)
-    for b, g in enumerate(rows):
-        h = 1 << b
-        np.bitwise_xor(block[:h], _to_words(g, words), out=block[h : 2 * h])
-    return block
+def _walk(rows: list[int], n: int, entries: Sequence[tuple[int, int]] = ()) -> np.ndarray:
+    """Weight histogram A_0..A_N of the codewords the generator rows span,
+    summed over every assignment of the free entries.
 
+    An entry (pos, g) adds word g to row pos. Block index bit p is the
+    coefficient of row p, so flipping an entry XORs g into the codewords
+    whose index has bit pos set; a row step XORs its word into every
+    codeword. Up to BLOCK_BITS steps double the block in place. With
+    entries every row goes into the block, and at most 2^(BLOCK_BITS-K)
+    codebooks; the remaining steps are walked in Gray code order.
 
-def _without_all_ones(rows: list[int], n: int) -> tuple[list[int], bool]:
-    """The rows other than the all-ones word, and whether it was there."""
+    A last row that is the all-ones word is dropped: each enumerated
+    codeword c stands for c + 1^N too, and A_d = h_d + h_(N-d).
+    """
     ones = (1 << n) - 1
-    rest = [g for g in rows if g != ones]
-    return rest, len(rest) < len(rows)
-
-
-def _mirrored(hist: np.ndarray, paired: bool) -> np.ndarray:
-    # A_d = h_d + h_(N-d) when each enumerated codeword stands for itself
-    # and its complement
+    # entries address rows by position: only the last row may go
+    if ones in rows[:-1]:
+        raise RuntimeError("all-ones generator row is not the last row")
+    paired = bool(rows) and rows[-1] == ones
+    kept = len(rows) - paired
+    if entries:
+        split = kept + max(0, min(len(entries), BLOCK_BITS - len(rows)))
+    else:
+        split = min(kept, BLOCK_BITS)
+    words = _wordcount(n)
+    steps = [(pos, _to_words(g, words)) for pos, g in [*enumerate(rows[:kept]), *entries]]
+    block = np.zeros((1 << split, words), dtype=np.uint64)
+    for b, (pos, g) in enumerate(steps[:split]):
+        h = 1 << b
+        if pos == b:  # a row doubles the block by itself
+            np.bitwise_xor(block[:h], g, out=block[h : 2 * h])
+        else:
+            block[h : 2 * h] = block[:h]
+            block[h : 2 * h].reshape(-1, 2 << pos, words)[:, 1 << pos :] ^= g
+    # int64 is safe: the grand total is at most 2^44 under the budgets
+    hist = _hist_of_block(block, n)
+    for step in range(1, 1 << (len(steps) - split)):
+        pos, g = steps[split + (step & -step).bit_length() - 1]
+        # an entry's row is in the block; a row past it is in every codeword
+        view = block.reshape(-1, 2 << pos, words)[:, 1 << pos :] if pos < split else block
+        view ^= g
+        hist += _hist_of_block(block, n)
     return hist + hist[::-1] if paired else hist
 
 
 def exact_spectrum(config: CodeConfig, transform: PreTransform) -> WeightHistogram:
     """Weight histogram of one fixed code by enumerating all 2^K messages.
 
-    The first BLOCK_BITS generator rows span one in-place block; the
-    remaining rows are XORed into it in Gray code order, one per step.
-    When N is an information index its generator row is the all-ones
-    word: that row is dropped, only the 2^(K-1) codewords of the other
-    rows are enumerated, and each stands for its complement too.
+    One walk over the generator rows: the first BLOCK_BITS of them span
+    an in-place block, and the rest are XORed into it in Gray code
+    order. When N is an information index its generator row is the
+    all-ones word: the walk enumerates only the 2^(K-1) codewords of the
+    other rows, and each stands for its complement too.
     """
-    k = config.k
-    if k > BRUTE_MAX_K:
-        raise BudgetError(f"K={k} exceeds brute-force budget {BRUTE_MAX_K}")
-    n = config.n
-    words = _wordcount(n)
-    rows, paired = _without_all_ones(generator_rows(config, transform), n)
-    split = min(len(rows), BLOCK_BITS)
-    block = _codeword_block(rows[:split], n)
-    outer = [_to_words(g, words) for g in rows[split:]]
-    hist = _hist_of_block(block, n)
-    for step in range(1, 1 << len(outer)):
-        block ^= outer[(step & -step).bit_length() - 1]
-        hist += _hist_of_block(block, n)
-    return WeightHistogram("brute", n, tuple(int(c) for c in _mirrored(hist, paired)))
+    if config.k > BRUTE_MAX_K:
+        raise BudgetError(f"K={config.k} exceeds brute-force budget {BRUTE_MAX_K}")
+    counts = _walk(generator_rows(config, transform), config.n)
+    return WeightHistogram("brute", config.n, tuple(int(c) for c in counts))
 
 
 def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
     """Exact E[N_d] by enumerating every transform in the ensemble.
 
-    The first free entries are enumerated as a batch of codebooks, up to
-    2^BLOCK_BITS codewords in all. The remaining free-entry assignments
-    are walked in Gray-code order so each step flips a single T entry,
-    which perturbs a single generator row; every codebook in the batch is
-    patched in place instead of rebuilt.
+    The same walk as exact_spectrum, over the rows of F_N plus one entry
+    per free T entry: setting T_(i,j) adds row j of F_N to generator row
+    i. The block holds every codeword of a batch of codebooks, up to
+    2^BLOCK_BITS codewords in all, and the remaining entries are walked
+    in Gray code order, so each step flips a single T entry and patches
+    every codebook in place instead of rebuilding it.
 
     Row N has no free entries, so when N is an information index every
-    codebook contains the all-ones word as its last generator row. That
-    row is dropped from the batch (the other rows keep their positions),
-    and each enumerated codeword stands for its complement too.
+    codebook has the all-ones word as its last generator row, and the
+    walk pairs each enumerated codeword with its complement.
     """
     f = free_entry_count(config)
     k = config.k
@@ -172,41 +187,11 @@ def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
     if k > ENSEMBLE_MAX_K:
         raise BudgetError(f"K={k} exceeds exhaustive-ensemble budget {ENSEMBLE_MAX_K}")
     n, m = config.n, config.m
-    words = _wordcount(n)
-
-    # free entry b -> (message bit position, column index) per the
-    # transform_from_bits layout: rows ascending, columns ascending
-    entry_of_bit: list[tuple[int, int]] = []
-    for pos, i in enumerate(config.info_set):
-        entry_of_bit.extend((pos, j) for j in range(i + 1, n + 1))
-    deltas = [_to_words(row_bits(m, col), words) for _, col in entry_of_bit]
-
-    def flip(batch: np.ndarray, b: int) -> None:
-        # XOR entry b's column into generator row pos of every codebook
-        pos = entry_of_bit[b][0]
-        view = batch.reshape(len(batch), -1, 1 << (pos + 1), words)
-        view[:, :, 1 << pos :, :] ^= deltas[b]
-
-    full = generator_rows(config, identity_transform(config))
-    rows, paired = _without_all_ones(full, n)
-    # flip addresses rows by position: only the last one may go
-    if rows != full[: len(rows)]:
-        raise RuntimeError("all-ones generator row is not the last row")
-    # batch[j] is the codebook with the first `low` free entries set to
-    # the bits of j, filled in place by doubling
-    low = max(0, min(f, BLOCK_BITS - k))
-    batch = np.empty((1 << low, 1 << len(rows), words), dtype=np.uint64)
-    batch[0] = _codeword_block(rows, n)
-    for b in range(low):
-        h = 1 << b
-        batch[h : 2 * h] = batch[:h]
-        flip(batch[h : 2 * h], b)
-    # int64 is safe: the grand total is 2^(F+K) <= 2^44 under the budget
-    hist = _hist_of_block(batch.reshape(-1, words), n)
-    for step in range(1, 1 << (f - low)):
-        flip(batch, low + (step & -step).bit_length() - 1)
-        hist += _hist_of_block(batch.reshape(-1, words), n)
-    means = tuple(DyadicRational(int(c), f) for c in _mirrored(hist, paired))
+    # in the transform_from_bits layout: rows ascending, columns ascending
+    entries = [(pos, row_bits(m, j)) for pos, i in enumerate(config.info_set)
+               for j in range(i + 1, n + 1)]
+    counts = _walk(generator_rows(config, identity_transform(config)), n, entries)
+    means = tuple(DyadicRational(int(c), f) for c in counts)
     return WeightHistogram("exhaustive-ensemble", n, means, samples=1 << f)
 
 

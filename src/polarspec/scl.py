@@ -29,6 +29,7 @@ paths come out in lexicographic order of u_1..u_N.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -240,14 +241,10 @@ def _messages(u: np.ndarray, config: CodeConfig, transform: PreTransform) -> np.
 
 def _pack(rows: np.ndarray) -> list[int]:
     # column p of an (X, P) bit array as one packed int per path, bit r = row r:
-    # bytes, then little-endian uint64 words, joined from the top word down
+    # each path's bytes as one void item, read little-endian
     packed = np.packbits(rows, axis=0, bitorder="little")
-    packed = np.pad(packed, ((0, -len(packed) % 8), (0, 0)))
-    words = np.ascontiguousarray(packed.T).view("<u8")
-    out = words[:, -1].tolist()
-    for w in range(words.shape[1] - 2, -1, -1):
-        out = [hi << 64 | lo for hi, lo in zip(out, words[:, w].tolist())]
-    return out
+    paths = np.ascontiguousarray(packed.T).view(f"V{len(packed)}").ravel().tolist()
+    return list(map(int.from_bytes, paths, repeat("little")))
 
 
 def scl_decode(

@@ -127,12 +127,17 @@ class TestEnsembleAverageExact:
             (3, (4, 6, 7, 8)),
         ],
     )
-    def test_matches_rebuild_route(self, m, info):
+    def test_matches_rebuild_route(self, monkeypatch, m, info):
+        # 0 and 3 walk most free entries in Gray order; 20 doubles them all
+        # into the batch
         cfg = CodeConfig(m, info)
-        h = ensemble_average_exact(cfg)
-        assert list(h.counts) == naive_ensemble_average(cfg)
-        assert h.source == "exhaustive-ensemble"
-        assert h.samples == 1 << free_entry_count(cfg)
+        expected = naive_ensemble_average(cfg)
+        for bits in (0, 3, 20):
+            monkeypatch.setattr(polarspec.oracle, "BLOCK_BITS", bits)
+            h = ensemble_average_exact(cfg)
+            assert list(h.counts) == expected, bits
+            assert h.source == "exhaustive-ensemble"
+            assert h.samples == 1 << free_entry_count(cfg)
 
     def test_matches_recursion_batch(self):
         # oracle vs closed-form recursion, exact dyadic equality

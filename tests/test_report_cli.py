@@ -130,6 +130,20 @@ class TestReportObjects:
         assert lines[1] == "0,1.000000,1,0,,,"
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """Exact string equality that fails in seconds: pytest's diff of two
+    ~0.5 MB texts takes minutes, so a mismatch reports the first
+    differing offset and a short context instead."""
+    if got == want:
+        return
+    at = len(os.path.commonprefix([got, want]))
+    lo = max(0, at - 40)
+    raise AssertionError(
+        f"texts differ at offset {at} (lengths {len(got)} and {len(want)}): "
+        f"got {got[lo:at + 40]!r}, want {want[lo:at + 40]!r}"
+    )
+
+
 # text that stresses a hand-built encoder: separators, escapes, non-ASCII
 _TRICKY = st.text(
     st.one_of(st.sampled_from('\n"\\{},:[] \t\u2028é漢\U0001f600'), st.characters()), max_size=12
@@ -175,7 +189,7 @@ _REPORT = st.builds(
 @example(SpectrumReport(code={}, method="x", entries=[{"d": 1}, {"d": [2]}, {"d": {"e": 3}}],
                         transform={"t": [{"a": 1}, {}, {"b": 2}]}))
 def test_to_json_matches_json_dumps(rep):
-    assert rep.to_json() == json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert_same_text(rep.to_json(), json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 def test_to_json_matches_json_dumps_past_the_chunk_size():
@@ -183,7 +197,7 @@ def test_to_json_matches_json_dumps_past_the_chunk_size():
     # several chunks past ~50000 items; json.dumps with an indent takes
     # ~0.4 s here, past hypothesis's deadline, so this is not an @example
     rep = SpectrumReport(code={}, method="x", entries=[{"d": d, "num": "1"} for d in range(50_001)])
-    assert rep.to_json() == json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert_same_text(rep.to_json(), json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 class TestNumeratorsPastTheDigitLimit:

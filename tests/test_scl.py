@@ -21,6 +21,7 @@ from polarspec.scl import (
     _decode_arrays,
     _inverse_transform,
     _messages,
+    _pack,
     _select,
     collect_low_weight,
     path_metric_update,
@@ -448,6 +449,12 @@ def _decoded_codes(draw):
     small = st.integers(1, 64)
     list_size = draw(small | st.just(1 << cfg.k) if cfg.k <= 8 else small)
     return cfg, t, list_size
+
+
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 64, 65, 130])
+def test_pack_reads_each_column_lsb_first(rows):
+    bits = np.random.default_rng(rows).integers(0, 2, (rows, 5), dtype=np.uint8)
+    assert _pack(bits) == [sum(int(b) << r for r, b in enumerate(col)) for col in bits.T]
 
 
 @given(_decoded_codes())
