@@ -237,6 +237,8 @@ def ensemble_average_mc(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if list_size is not None:
         if list_size < 1:
             raise ValueError(f"list_size must be >= 1, got {list_size}")

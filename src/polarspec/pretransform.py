@@ -164,7 +164,10 @@ def parse_poly(text: str | int) -> int:
     else:
         s = text.strip().lower()
         if s.startswith("0x"):
-            poly = int(s, 16)
+            try:
+                poly = int(s, 16)
+            except ValueError:
+                raise ValueError(f"not a hexadecimal polynomial string: {text!r}") from None
         else:
             if not s or s.strip("01"):
                 raise ValueError(f"not a binary polynomial string: {text!r}")
@@ -172,7 +175,7 @@ def parse_poly(text: str | int) -> int:
                 raise ValueError("leading coefficient must be 1")
             poly = int(s, 2)
     if poly < 1:
-        raise ValueError("polynomial must be nonzero")
+        raise ValueError(f"polynomial must be nonzero, got {text!r}")
     return poly
 
 

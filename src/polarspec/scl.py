@@ -42,7 +42,6 @@ from .pretransform import PreTransform
 __all__ = [
     "DecoderPath",
     "collect_low_weight",
-    "path_metric_update",
     "scl_decode",
 ]
 
@@ -67,16 +66,6 @@ class DecoderPath(NamedTuple):
     @property
     def weight(self) -> int:
         return self.codeword.bit_count()
-
-
-def path_metric_update(decision: int, llr: float) -> float:
-    """Penalty for extending a path with `decision` against belief `llr`.
-
-    Hard-decision form: free when the decision matches the sign of the
-    LLR (zero counts as positive), |llr| otherwise.
-    """
-    hard = 1 if llr < 0 else 0
-    return abs(llr) if decision != hard else 0
 
 
 def _minsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,8 +152,9 @@ def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
         pending = (acc[0] >> (t & 63) & 1).astype(np.uint8)
 
         if t + 1 in info:
-            # candidate 2p+bit costs metric[p] + path_metric_update(bit, llr
-            # of path p); the id keeps lexicographic order among ties
+            # candidate 2p+bit costs metric[p] plus |llr| of path p when bit
+            # disagrees with the sign of that llr; a zero llr costs neither
+            # bit anything. The id keeps lexicographic order among ties
             cand = np.empty(2 * len(metric), dtype=np.int64)
             cand[0::2] = metric + np.maximum(-dec_llr, 0)
             cand[1::2] = metric + np.maximum(dec_llr, 0)

@@ -358,6 +358,10 @@ class TestEnsembleAverageMC:
             ensemble_average_mc(cfg, 0, samples=0)
         with pytest.raises(ValueError):
             ensemble_average_mc(cfg, 0, samples=2, list_size=0)
+        with pytest.raises(ValueError, match="threads must be >= 1, got -5"):
+            ensemble_average_mc(cfg, 0, samples=3, threads=-5)
+        with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+            ensemble_average_mc(cfg, 0, samples=3, threads=0)
         with pytest.raises(BudgetError):
             ensemble_average_mc(construct_pw(64, BRUTE_MAX_K + 1), 0, samples=1)
 

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import product
 
@@ -178,9 +179,9 @@ class TestParsePoly:
     def test_int_passthrough(self):
         assert parse_poly(0b1011) == 0b1011
 
-    @pytest.mark.parametrize("bad", ["", "012", "20", "abc", "0x0", 0])
+    @pytest.mark.parametrize("bad", ["", "012", "20", "abc", "0x0", 0, "0x", "0xg1"])
     def test_rejects(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"polynomial.*{re.escape(repr(bad))}"):
             parse_poly(bad)
 
 

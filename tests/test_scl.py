@@ -24,7 +24,6 @@ from polarspec.scl import (
     _pack,
     _select,
     collect_low_weight,
-    path_metric_update,
     scl_decode,
 )
 
@@ -34,20 +33,6 @@ FULL = os.environ.get("POLARSPEC_ACCEPT_FULL", "") == "1"
 
 def brute_counts(cfg, transform):
     return exact_spectrum(cfg, transform).counts
-
-
-class TestPathMetricUpdate:
-    def test_agreement_is_free(self):
-        assert path_metric_update(0, 3.0) == 0
-        assert path_metric_update(1, -2.0) == 0
-
-    def test_disagreement_costs_magnitude(self):
-        assert path_metric_update(1, 3.0) == 3.0
-        assert path_metric_update(0, -2.5) == 2.5
-
-    def test_zero_llr_counts_as_positive(self):
-        assert path_metric_update(0, 0.0) == 0
-        assert path_metric_update(1, 0.0) == 0
 
 
 @st.composite
