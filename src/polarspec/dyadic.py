@@ -1,15 +1,15 @@
 """Exact dyadic rationals: non-negative values of the form num / 2^exp.
 
 Every probability and expected count produced by the recursion engine is
-dyadic, so this is the exact carrier type for results that must survive
-weights where floats underflow and counts overflow 64 bits. The engine
-sums numerators over one power of two as ints and hands the result over
-in this type; arithmetic on results goes through fractions.Fraction.
+dyadic. Exact results travel as integer numerators over one power of two
+(AverageSpectrum.nums over 2^exp, WeightHistogram.counts over samples);
+this type renders one value in lowest terms, for reading a single entry
+and for the report's num/exp2 pair. It carries no arithmetic and no
+ordering: work on the integers, or take to_fraction().
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 import sys
 from fractions import Fraction
@@ -39,14 +39,15 @@ def int_text(x: int) -> str:
     return int_text(hi) + int_text(lo).rjust(width, "0")
 
 
-@functools.total_ordering
 class DyadicRational:
     """num / 2^exp with num >= 0 and exp >= 0, kept in lowest terms.
 
     Lowest terms means num is odd whenever exp > 0; zero is stored as
-    (0, 0). A value compares, orders and hashes exactly, against ints as
-    well, and renders as an exact decimal with round-half-to-even. It
-    carries no arithmetic: to add or multiply values, take to_fraction().
+    (0, 0). A value tests equal and hashes exactly, against ints as well
+    (so spec[8] == 272 holds), and renders as an exact decimal with
+    round-half-to-even. It has no ordering, so < raises TypeError, and no
+    arithmetic: compare or add numerators over one power of two, or take
+    to_fraction().
     """
 
     __slots__ = ("num", "exp")
@@ -82,15 +83,6 @@ class DyadicRational:
         if not isinstance(other, DyadicRational):
             return NotImplemented
         return self.num == other.num and self.exp == other.exp
-
-    def __lt__(self, other):
-        # compare numerators over one power of two
-        if isinstance(other, DyadicRational):
-            e = max(self.exp, other.exp)
-            return self.num << (e - self.exp) < other.num << (e - other.exp)
-        if isinstance(other, int):
-            return self.num < other << self.exp
-        return NotImplemented
 
     def __hash__(self):
         # an integer value hashes as the int it equals

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import CodeConfig
-from .dyadic import DyadicRational
 from .kernel import _check_code_transform, polar_transform, row_bits
 from .pretransform import (
     PreTransform,
@@ -61,11 +60,13 @@ class BudgetError(RuntimeError):
 class WeightHistogram:
     """Per-weight tallies indexed d = 0..N, plus provenance metadata.
 
-    counts holds integers for source "brute"/"scl", exact DyadicRational
-    means for "exhaustive-ensemble", and float sample means for
-    "monte-carlo" (which also carries per-weight sample variance).
-    saturated[d], when present, marks weights whose value is only a
-    lower bound (list pruning may have discarded codewords there).
+    For the exact sources counts holds integer totals over `samples`
+    codes, a power of two: 1 for "brute" and "scl", 2^F for
+    "exhaustive-ensemble" (every transform once), so the value at d is
+    counts[d] / samples exactly. "monte-carlo" holds float sample means
+    instead, and per-weight sample variance. saturated[d], when present,
+    marks weights whose value is only a lower bound (list pruning may
+    have discarded codewords there).
     """
 
     source: str
@@ -169,6 +170,9 @@ def exact_spectrum(config: CodeConfig, transform: PreTransform) -> WeightHistogr
 def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
     """Exact E[N_d] by enumerating every transform in the ensemble.
 
+    The histogram holds each weight's total over all 2^F transforms, F
+    the free entry count, with samples = 2^F: E[N_d] = counts[d] / 2^F.
+
     The same walk as exact_spectrum, over the rows of F_N plus one entry
     per free T entry: setting T_(i,j) adds row j of F_N to generator row
     i. The block holds every codeword of a batch of codebooks, up to
@@ -191,8 +195,7 @@ def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
     entries = [(pos, row_bits(m, j)) for pos, i in enumerate(config.info_set)
                for j in range(i + 1, n + 1)]
     counts = _walk(generator_rows(config, identity_transform(config)), n, entries)
-    means = tuple(DyadicRational(int(c), f) for c in counts)
-    return WeightHistogram("exhaustive-ensemble", n, means, samples=1 << f)
+    return WeightHistogram("exhaustive-ensemble", n, tuple(int(c) for c in counts), samples=1 << f)
 
 
 def _sample_moments(samples: list[tuple]) -> tuple[tuple[float, ...], tuple[float, ...]]:

@@ -129,7 +129,9 @@ def _code_block(config: CodeConfig, construction: str) -> dict:
     }
 
 
-def _exact(val: DyadicRational, digits: int) -> dict:
+def _exact(num: int, exp: int, digits: int) -> dict:
+    """num / 2^exp as the report's num/exp2 pair, in lowest terms, and decimal value."""
+    val = DyadicRational(num, exp)
     return {"num": int_text(val.num), "exp2": val.exp, "value": val.decimal(digits)}
 
 
@@ -146,7 +148,7 @@ def report_from_average(
     digits: int = 6,
 ) -> SpectrumReport:
     """Report for the exact recursion output, one entry per weight."""
-    entries = [{"d": d, **_exact(spec.entries[d], digits)} for d in sorted(spec.entries)]
+    entries = [{"d": d, **_exact(x, spec.exp, digits)} for d, x in enumerate(spec.nums, start=1)]
     return SpectrumReport(_code_block(config, construction), "recursion", entries)
 
 
@@ -160,19 +162,24 @@ def report_from_histogram(
 ) -> SpectrumReport:
     """Report for an enumerated or sampled histogram.
 
-    Integer and dyadic sources carry the exact num/exp2 pair; Monte-Carlo
-    means carry decimal value, variance and the sample count instead.
+    Exact sources carry the num/exp2 pair of counts[d] / samples, which
+    needs samples to be a power of two; Monte-Carlo means carry decimal
+    value, variance and the sample count instead.
     """
+    exact = hist.source != "monte-carlo"
+    if exact and (hist.samples < 1 or hist.samples & (hist.samples - 1)):
+        raise ValueError(f"exact {hist.source} histogram needs a power-of-two samples >= 1, "
+                         f"got {hist.samples}")
+    exp = hist.samples.bit_length() - 1
     entries = []
     for d, c in enumerate(hist.counts):
         e: dict = {"d": d}
-        if hist.source == "monte-carlo":
+        if exact:
+            e.update(_exact(c, exp, digits))
+        else:
             e["value"] = _fmt(c, digits)
             e["variance"] = _fmt(hist.variance[d], digits)
             e["samples"] = hist.samples
-        else:
-            exact = c if isinstance(c, DyadicRational) else DyadicRational(c)
-            e.update(_exact(exact, digits))
         if hist.saturated is not None:
             e["saturated"] = bool(hist.saturated[d])
         entries.append(e)
@@ -181,7 +188,7 @@ def report_from_histogram(
         hist.source,
         entries,
         transform=transform,
-        samples=hist.samples if hist.source == "monte-carlo" else None,
+        samples=None if exact else hist.samples,
         seed=hist.seed,
         list_size=list_size,
     )

@@ -28,7 +28,7 @@ the row and shifts its table entries by e, so no list of weights is
 held: the 92,378 rows RM(2^20, 2^19) keeps at d_max = 1024 have weights
 of 4.6 GiB in all.
 
-Everything here is integer or dyadic arithmetic; no floats are involved,
+Everything here is integer arithmetic; no floats are involved,
 so results are reproducible bit-for-bit at any block length.
 """
 
@@ -59,17 +59,31 @@ TABLE_LEVEL = 6  # branches of length <= 2^TABLE_LEVEL sum table columns
 
 @dataclass(frozen=True, slots=True)
 class AverageSpectrum:
-    """Ensemble-average codeword counts E[N_d] for d = 1..d_max."""
+    """Ensemble-average codeword counts E[N_d] for d = 1..d_max, exactly.
+
+    nums[d - 1] is the integer E[N_d] * 2^exp; the recursion gives every
+    numerator over exp = N - K. spec[d] renders one entry as a
+    DyadicRational in lowest terms, for d = 1..d_max only.
+    """
 
     config: CodeConfig
-    entries: dict[int, DyadicRational]
+    exp: int
+    nums: tuple[int, ...]
 
     def __getitem__(self, d: int) -> DyadicRational:
-        return self.entries[d]
+        if not 1 <= d <= len(self.nums):
+            raise KeyError(d)
+        return DyadicRational(self.nums[d - 1], self.exp)
 
     @property
     def d_max(self) -> int:
-        return max(self.entries)
+        return len(self.nums)
+
+    @property
+    def entries(self) -> dict[int, DyadicRational]:
+        """A fresh {d: spec[d]} for d = 1..d_max; writing to it changes nothing."""
+        # stays until the benchmark harness reads reports instead (ROADMAP item 1)
+        return {d: self[d] for d in range(1, self.d_max + 1)}
 
 
 def _add_low_map(out: list[int], a: list[int], half: int) -> None:
@@ -225,7 +239,8 @@ def avg_spectrum(config: CodeConfig, d_max: int | None = None) -> AverageSpectru
     entries drawn uniformly: row j of the information set (ascending)
     contributes 2^(K-j) times its coset probability, the coset's counts
     over 2^(N-i). Times 2^(N-K) that is the integer 2^(i-j), so a single
-    weighted recursion yields every numerator over 2^(N-K).
+    weighted recursion yields every numerator over 2^(N-K), and the
+    result keeps them so.
     """
     m, n, k = config.m, config.n, config.k
     if d_max is None:
@@ -233,9 +248,7 @@ def avg_spectrum(config: CodeConfig, d_max: int | None = None) -> AverageSpectru
     if not 1 <= d_max <= n:
         raise ValueError(f"d_max {d_max} outside [1, {n}]")
     rows = [(i, i - j) for j, i in enumerate(config.info_set, start=1)]
-    counts = _weighted_sum(m, rows, d_max)
-    entries = {d: DyadicRational(counts[d], n - k) for d in range(1, d_max + 1)}
-    return AverageSpectrum(config, entries)
+    return AverageSpectrum(config, n - k, tuple(_weighted_sum(m, rows, d_max)[1:]))
 
 
 def avg_nmin(config: CodeConfig) -> tuple[int, DyadicRational]:
@@ -260,17 +273,15 @@ def verify_average(spec: AverageSpectrum) -> list[str]:
     Checks total mass 2^K - 1, no mass below the minimum row weight, and
     no mass at odd weights when row 1 is frozen.
     """
-    config, entries, n = spec.config, spec.entries, spec.config.n
+    config, nums, n = spec.config, spec.nums, spec.config.n
     if spec.d_max != n:
         raise ValueError(f"verify_average needs the full spectrum, d_max {spec.d_max} < {n}")
-    values = [entries[d] for d in range(1, n + 1)]
-    e = max(v.exp for v in values)  # sum the numerators over 2^e in one integer
-    total = DyadicRational(sum(v.num << (e - v.exp) for v in values), e)
-    expected = DyadicRational((1 << config.k) - 1)
-    problems = [f"total mass {total} != 2^K - 1 = {expected}"] if total != expected else []
-    problems += [f"nonzero mass {entries[d]} below minimum weight at d={d}"
-                 for d in range(1, min_row_weight(config)) if entries[d]]
+    total, expected = sum(nums), (1 << config.k) - 1
+    problems = [] if total == expected << spec.exp else [
+        f"total mass {DyadicRational(total, spec.exp)} != 2^K - 1 = {expected}"]
+    problems += [f"nonzero mass {spec[d]} below minimum weight at d={d}"
+                 for d in range(1, min_row_weight(config)) if nums[d - 1]]
     odd = range(1, n + 1, 2) if 1 not in config.info_set else ()
-    problems += [f"odd-weight mass {entries[d]} at d={d} without row 1"
-                 for d in odd if entries[d]]
+    problems += [f"odd-weight mass {spec[d]} at d={d} without row 1"
+                 for d in odd if nums[d - 1]]
     return problems

@@ -40,10 +40,6 @@ def test_numpy_integers_accepted_floats_rejected():
         DyadicRational(4, 1.0)
 
 
-def test_ordering():
-    assert DyadicRational(1, 1) < DyadicRational(3, 2) < DyadicRational(1, 0)
-
-
 def test_equal_ints_hash_equal():
     assert DyadicRational(2) == 2 and hash(DyadicRational(2)) == hash(2)
     assert {2, DyadicRational(2)} == {2}
@@ -51,13 +47,16 @@ def test_equal_ints_hash_equal():
     assert {DyadicRational(1, 1): "half"}[DyadicRational(2, 2)] == "half"
 
 
-def test_ordering_against_ints():
+def test_no_ordering():
+    # a render type: values are compared as numerators over one power of two
     one, half = DyadicRational(1), DyadicRational(1, 1)
-    assert one < 2 and one <= 1 and one >= 1 and not one > 1
-    assert 0 < half < 1 and 1 > half > 0 and -1 < half
-    assert 2 > one and 1 >= one and not 1 < one
-    assert max(3, DyadicRational(7, 1), 2) == DyadicRational(7, 1)
-    assert sorted([2, DyadicRational(3, 1), 1, DyadicRational(0)]) == [0, 1, DyadicRational(3, 1), 2]
+    for a, b in ((half, one), (one, 2), (2, one), (half, 0)):
+        with pytest.raises(TypeError):
+            a < b
+        with pytest.raises(TypeError):
+            a >= b
+    with pytest.raises(TypeError):
+        sorted([DyadicRational(3, 1), DyadicRational(0)])
 
 
 def test_ordering_against_other_types_is_not_implemented():
@@ -72,9 +71,7 @@ def test_ordering_against_other_types_is_not_implemented():
 @given(st.integers(0, 1 << 40), st.integers(0, 40), st.integers(-(1 << 41), 1 << 41))
 def test_int_comparisons_match_fractions(num, exp, other):
     x, f = DyadicRational(num, exp), Fraction(num, 1 << exp)
-    assert (x < other, x <= other, x > other, x >= other, x == other) == (
-        f < other, f <= other, f > other, f >= other, f == other)
-    assert (other < x, other <= x, other > x, other >= x) == (other < f, other <= f, other > f, other >= f)
+    assert (x == other, x != other, other == x) == (f == other, f != other, other == f)
     if x == other:
         assert hash(x) == hash(other)
 

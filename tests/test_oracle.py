@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarspec.construct import CodeConfig, construct_pw, construct_rm, min_row_weight
-from polarspec.dyadic import DyadicRational
 from polarspec.kernel import encode
 import polarspec.oracle
 from polarspec.oracle import (
@@ -105,15 +104,22 @@ class TestExactSpectrum:
             exact_spectrum(cfg, identity_transform(cfg))
 
 
-def naive_ensemble_average(config: CodeConfig) -> list[DyadicRational]:
-    # rebuild-from-scratch route: no Gray stepping, no in-place patches
-    f = free_entry_count(config)
+def naive_ensemble_average(config: CodeConfig) -> list[int]:
+    # rebuild-from-scratch route: no Gray stepping, no in-place patches;
+    # per-weight totals over all 2^F transforms
     total = [0] * (config.n + 1)
-    for b in range(1 << f):
+    for b in range(1 << free_entry_count(config)):
         h = exact_spectrum(config, transform_from_bits(config, b))
         for d, c in enumerate(h.counts):
             total[d] += c
-    return [DyadicRational(t, f) for t in total]
+    return total
+
+
+def assert_matches_recursion(h: WeightHistogram, s, config: CodeConfig) -> None:
+    # totals over 2^F against numerators over 2^(N-K), compared as integers
+    f = h.samples.bit_length() - 1
+    assert h.counts[0] == h.samples, config
+    assert all(c << s.exp == x << f for c, x in zip(h.counts[1:], s.nums)), config
 
 
 class TestEnsembleAverageExact:
@@ -140,7 +146,7 @@ class TestEnsembleAverageExact:
             assert h.samples == 1 << free_entry_count(cfg)
 
     def test_matches_recursion_batch(self):
-        # oracle vs closed-form recursion, exact dyadic equality
+        # oracle vs closed-form recursion, exact integer equality
         cases = [CodeConfig(2, info) for r in (1, 2, 3)
                  for info in combinations((1, 2, 3, 4), r)]
         cases += [
@@ -151,10 +157,7 @@ class TestEnsembleAverageExact:
             CodeConfig(4, (8, 13, 15, 16)),
         ]
         for cfg in cases:
-            h = ensemble_average_exact(cfg)
-            s = avg_spectrum(cfg)
-            assert all(h.counts[d] == s[d] for d in range(1, cfg.n + 1)), cfg
-            assert h.counts[0] == DyadicRational(1)
+            assert_matches_recursion(ensemble_average_exact(cfg), avg_spectrum(cfg), cfg)
 
     # N <= 16, K = 1..4, F = 0..12: depending on the block size the leading
     # batch spans none, some or all of the free entries
@@ -180,7 +183,7 @@ class TestEnsembleAverageExact:
     def test_mass(self):
         cfg = CodeConfig(3, (4, 6, 7, 8))
         h = ensemble_average_exact(cfg)
-        assert sum(c.to_fraction() for c in h.counts) == 1 << cfg.k
+        assert sum(h.counts) == h.samples << cfg.k
 
     def test_budget(self):
         with pytest.raises(BudgetError):
@@ -284,10 +287,7 @@ class TestComplementPairing:
     def test_ensemble_matches_recursion(self, monkeypatch, bits):
         monkeypatch.setattr(polarspec.oracle, "BLOCK_BITS", bits)
         for cfg in self.ENSEMBLE_CASES:
-            h = ensemble_average_exact(cfg)
-            s = avg_spectrum(cfg)
-            assert h.counts[0] == DyadicRational(1), cfg
-            assert all(h.counts[d] == s[d] for d in range(1, cfg.n + 1)), cfg
+            assert_matches_recursion(ensemble_average_exact(cfg), avg_spectrum(cfg), cfg)
 
     def test_ensemble_needs_the_all_ones_row_last(self, monkeypatch):
         real = generator_rows
@@ -337,8 +337,7 @@ class TestEnsembleAverageMC:
         exact = ensemble_average_exact(cfg)
         mc = ensemble_average_mc(cfg, 2024, samples=400)
         for d in range(cfg.n + 1):
-            target = exact.counts[d]
-            tf = target.num / (1 << target.exp)
+            tf = exact.counts[d] / exact.samples
             if mc.variance[d] == 0.0:
                 assert mc.counts[d] == tf
                 continue

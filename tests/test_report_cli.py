@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import polarspec
 from polarspec.cli import THREADS_ENV, main
 from polarspec.construct import CodeConfig, construct_pw, construct_rm
-from polarspec.dyadic import DyadicRational
 from polarspec.oracle import (
+    WeightHistogram,
     ensemble_average_exact,
     ensemble_average_mc,
     exact_spectrum,
@@ -76,6 +76,16 @@ class TestReportObjects:
         hist = exact_spectrum(cfg, identity_transform(cfg))
         as_numpy = replace(hist, counts=tuple(np.array(hist.counts, dtype=np.int64)))
         assert report_from_histogram(cfg, "pw", as_numpy) == report_from_histogram(cfg, "pw", hist)
+
+    def test_exact_histogram_renders_counts_over_samples(self):
+        cfg = CodeConfig(1, (1, 2))
+        rep = report_from_histogram(cfg, "pw", WeightHistogram("brute", 2, (1, 2, 1), samples=4))
+        assert [(e["num"], e["exp2"], e["value"]) for e in rep.entries] == [
+            ("1", 2, "0.250000"), ("1", 1, "0.500000"), ("1", 2, "0.250000")]
+        for samples in (0, -4, 3, 6):
+            hist = WeightHistogram("exhaustive-ensemble", 2, (1, 2, 1), samples=samples)
+            with pytest.raises(ValueError, match=f"power-of-two samples >= 1, got {samples}"):
+                report_from_histogram(cfg, "pw", hist)
 
     def test_histogram_report_mc(self):
         cfg = construct_pw(8, 4)
@@ -208,7 +218,7 @@ class TestNumeratorsPastTheDigitLimit:
 
     def _report(self):
         cfg = construct_pw(8, 4)
-        spec = AverageSpectrum(cfg, {1: DyadicRational(self.NUM, 7), 2: DyadicRational(5, 1)})
+        spec = AverageSpectrum(cfg, 7, (self.NUM, 5 << 6))
         return report_from_average(cfg, "pw", spec)
 
     def _expected(self):
@@ -308,8 +318,7 @@ class TestAvgSpectrumCommand:
 
         def corrupted(config, d_max):
             spec = avg_spectrum(config, d_max)
-            spec.entries[3] = DyadicRational(1)
-            return spec
+            return replace(spec, nums=spec.nums[:2] + (1 << spec.exp,) + spec.nums[3:])
 
         monkeypatch.setattr(polarspec.cli, "avg_spectrum", corrupted)
         rc, out, err = run(
@@ -569,10 +578,11 @@ class TestEnsembleCommand:
         )
         assert rc == 0
         doc = json.loads(out)
-        exact = ensemble_average_exact(construct_pw(8, 4))
+        cfg = construct_pw(8, 4)
+        exact = report_from_histogram(cfg, "pw", ensemble_average_exact(cfg)).entries
         for e in doc["entries"]:
             assert float(e["variance"]) == 0.0
-            assert e["value"] == exact.counts[e["d"]].decimal(6)
+            assert e["value"] == exact[e["d"]]["value"]
 
     def test_mc_means_track_the_exhaustive_average(self, capsys, tmp_path):
         # a selection whose ensemble genuinely varies; the seeded draw sits
@@ -590,7 +600,7 @@ class TestEnsembleCommand:
         for e in doc["entries"]:
             mean = float(e["value"])
             var = float(e["variance"])
-            target = float(exact.counts[e["d"]].decimal(12))
+            target = exact.counts[e["d"]] / exact.samples
             if var:
                 saw_variance = True
                 assert abs(mean - target) <= 4 * math.sqrt(var / e["samples"])

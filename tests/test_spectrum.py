@@ -2,7 +2,7 @@ import functools
 import hashlib
 import os
 import random
-from fractions import Fraction
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -119,7 +119,7 @@ class TestAverageSpectrum:
             for build in (construct_rm, construct_pw):
                 cfg = build(n, k)
                 s = avg_spectrum(cfg)
-                assert sum(s[d].to_fraction() for d in range(1, n + 1)) == (1 << k) - 1
+                assert sum(s.nums) == ((1 << k) - 1) << s.exp
 
     def test_d_max_truncation(self):
         cfg = construct_pw(32, 16)
@@ -132,6 +132,17 @@ class TestAverageSpectrum:
         cfg = construct_pw(16, 8)
         assert avg_spectrum(cfg, d_max=5) != avg_spectrum(cfg)
         assert avg_spectrum(cfg, d_max=5) == avg_spectrum(cfg, d_max=5)
+
+    def test_frozen_hashable_and_keyed_1_to_d_max(self):
+        spec = avg_spectrum(construct_pw(16, 8))
+        assert hash(spec) == hash(avg_spectrum(construct_pw(16, 8)))
+        before = spec[4]
+        spec.entries[4] = DyadicRational(0)  # a fresh dict: the spectrum is unchanged
+        assert spec[4] == before and spec[4]
+        assert verify_average(spec) == []
+        for d in (-1, 0, spec.d_max + 1):
+            with pytest.raises(KeyError):
+                spec[d]
 
     def test_single_row_code(self):
         # K = 1: the one info row alone, no pre-transform freedom above it
@@ -184,9 +195,9 @@ class TestVerifyAverage:
     def test_reports_each_violation(self):
         cfg = construct_rm(16, 8)  # d_min 4, row 1 frozen
         spec = avg_spectrum(cfg)
-        spec.entries[2] = DyadicRational(1)
-        spec.entries[3] = DyadicRational(3)
-        problems = verify_average(spec)
+        nums = list(spec.nums)
+        nums[1], nums[2] = 1 << spec.exp, 3 << spec.exp  # E[N_2] = 1, E[N_3] = 3
+        problems = verify_average(replace(spec, nums=tuple(nums)))
         assert len(problems) == 4
         assert problems[0].startswith("total mass ")
         assert "below minimum weight at d=2" in problems[1]
@@ -220,19 +231,19 @@ def test_full_spectrum_reference_4096(build):
 @pytest.mark.parametrize("seed", range(12))
 def test_average_equals_row_by_row_coset_sum(seed):
     # E[N_d] = sum over info rows j of 2^(K-j) * counts_i[d] / 2^(N-i),
-    # accumulated row by row from single-coset spectra
+    # accumulated row by row from single-coset spectra, as integers over 2^N
     rng = random.Random(seed)
     m = rng.randint(1, 7)
     n = 1 << m
     info = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
     cfg = CodeConfig(m, info)
-    expect = [Fraction(0)] * (n + 1)
+    expect = [0] * (n + 1)
     for j, i in enumerate(info, start=1):
         counts = coset_spectrum(m, i)
         for d in range(1, n + 1):
-            expect[d] += Fraction(counts[d] << (cfg.k - j), 1 << (n - i))
+            expect[d] += counts[d] << (cfg.k - j + i)
     spec = avg_spectrum(cfg)
-    assert all(spec[d].to_fraction() == expect[d] for d in range(1, n + 1))
+    assert [x << (n - spec.exp) for x in spec.nums] == expect[1:]
 
 
 @pytest.mark.parametrize("build", [construct_rm, construct_pw])
@@ -246,7 +257,7 @@ def test_truncation_is_prefix_at_1024(build):
 
 
 def _spectrum_digest(spec) -> str:
-    text = "\n".join(f"{d} {v.num} {v.exp}" for d, v in sorted(spec.entries.items()))
+    text = "\n".join(f"{d} {spec[d].num} {spec[d].exp}" for d in range(1, spec.d_max + 1))
     return hashlib.sha256(text.encode()).hexdigest()[:32]
 
 
