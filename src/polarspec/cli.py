@@ -18,6 +18,7 @@ from .pretransform import (
     crc_transform,
     identity_transform,
     pac_transform,
+    parse_poly,
     random_transform,
 )
 from .report import SpectrumReport, report_from_average, report_from_histogram
@@ -154,10 +155,29 @@ def cmd_avg_spectrum(args) -> int:
     return _emit(report_from_average(config, args.construction, spec, args.round), args)
 
 
+def _check_crc_flags(k: int | None, desc: dict) -> None:
+    """--k against crc:POLY,KPRIME: 1 <= --k < KPRIME, and the polynomial's
+    degree is the number of CRC positions KPRIME - --k (crc_transform
+    checks the same, but as a library ValueError naming no flag)."""
+    if k is None:
+        raise argparse.ArgumentTypeError("--k (message bits) is required with a crc transform")
+    kprime = desc["k_outer"]
+    if not 1 <= k < kprime:
+        raise argparse.ArgumentTypeError(
+            f"--k {k} must satisfy 1 <= --k < KPRIME = {kprime} (--transform crc:POLY,KPRIME)"
+        )
+    degree = parse_poly(desc["poly"]).bit_length() - 1
+    if degree != kprime - k:
+        raise argparse.ArgumentTypeError(
+            f"--transform crc polynomial has degree {degree}, but KPRIME - --k = "
+            f"{kprime} - {k} = {kprime - k} CRC positions"
+        )
+
+
 def cmd_exact_spectrum(args) -> int:
     desc, list_size = args.transform, args.method
-    if desc["kind"] == "crc" and args.k is None:
-        raise argparse.ArgumentTypeError("--k (message bits) is required with a crc transform")
+    if desc["kind"] == "crc":
+        _check_crc_flags(args.k, desc)
     # a crc transform keeps --k message bits of the K' = k_outer rows constructed
     config = _construct(args.construction, args.n, desc.get("k_outer", args.k))
     if desc["kind"] == "crc":

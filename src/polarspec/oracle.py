@@ -7,7 +7,11 @@ row. A block of up to 2^BLOCK_BITS codewords (bit-packed, one row of
 uint64 words each) is filled in place by doubling, one step per bit of
 the block index; the remaining steps are walked in Gray code order,
 each XORing one word into the whole block, or into the codewords that
-contain the entry's row, in place.
+contain the entry's row, in place. Each state of the block is
+histogrammed without a per-codeword intp array: popcounts sum into
+uint8 weights (uint16 from N = 256 on), adjacent pairs of uint8 weights
+are counted as one uint16 index into an (N+1)×256 pair table, and
+bincount casts at most 2^16 indices to intp at a time.
 
 Complement pairing: T is upper triangular, so its row N is e_N, and when
 N is an information index the generator row N of T·F_N is the all-ones
@@ -49,7 +53,13 @@ __all__ = [
 BRUTE_MAX_K = 28
 ENSEMBLE_MAX_FREE = 24
 ENSEMBLE_MAX_K = 20
-BLOCK_BITS = 20  # enumeration blocks hold up to 2^BLOCK_BITS codewords
+# Enumeration blocks hold up to 2^BLOCK_BITS codewords. It stays 20 though
+# a smaller block lowers peak memory: freeing the 8 MiB block leaves glibc's
+# heap in a state where the SCL decoder's arrays stop page-faulting, and
+# BLOCK_BITS = 16 measured slower SCL jobs (CHANGES.md, the FOUND line on
+# the heap coupling).
+BLOCK_BITS = 20
+_CHUNK = 1 << 16  # indices per bincount call in _hist_of_block: a 512 KiB intp cast
 
 
 class BudgetError(RuntimeError):
@@ -96,15 +106,38 @@ def generator_rows(config: CodeConfig, transform: PreTransform) -> list[int]:
     return [polar_transform(transform.full_row(i), config.m) for i in config.info_set]
 
 
+def _chunked_bincount(indices: np.ndarray, length: int) -> np.ndarray:
+    """np.bincount(indices, minlength=length) that casts to intp only
+    _CHUNK indices at a time."""
+    hist = np.zeros(length, dtype=np.int64)
+    for start in range(0, len(indices), _CHUNK):
+        hist += np.bincount(indices[start : start + _CHUNK], minlength=length)
+    return hist
+
+
 def _hist_of_block(block: np.ndarray, n: int) -> np.ndarray:
-    counts = np.bitwise_count(block)
-    weights = counts[:, 0]  # uint8: one word per codeword needs no sum
-    if counts.shape[1] > 1:
+    """Weight histogram, d = 0..n, of the block's codewords.
+
+    The words' popcounts sum into one weight per codeword: uint8, or
+    uint16 from n = 256 on, where the all-ones word weighs 256. Two
+    adjacent uint8 weights read as one uint16 index, w_even + 256·w_odd
+    (or the reverse on a big-endian host); the histogram is the sum of
+    both marginals of the (n+1)×256 pair table, whatever the byte order.
+    An odd-length block, or uint16 weights, are counted one by one.
+    Either way, no intp array longer than _CHUNK is built.
+    """
+    weights = np.bitwise_count(block[:, 0])  # uint8
+    if n >= 256:
+        weights = weights.astype(np.uint16)
+    if block.shape[1] > 1:
         # word by word: a sum over the short word axis is ~4x slower
-        weights = weights.astype(np.intp)
-        for w in range(1, counts.shape[1]):
-            weights += counts[:, w]
-    return np.bincount(weights, minlength=n + 1)
+        scratch = np.empty(len(block), dtype=np.uint8)
+        for w in range(1, block.shape[1]):
+            weights += np.bitwise_count(block[:, w], out=scratch)
+    if weights.dtype == np.uint16 or len(weights) % 2:
+        return _chunked_bincount(weights, n + 1)
+    pairs = _chunked_bincount(weights.view(np.uint16), 256 * (n + 1)).reshape(n + 1, 256)
+    return pairs.sum(axis=0)[: n + 1] + pairs.sum(axis=1)
 
 
 def _walk(rows: list[int], n: int, entries: Sequence[tuple[int, int]] = ()) -> np.ndarray:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarspec.construct import CodeConfig, construct_pw, construct_rm, min_row_weight
@@ -12,8 +14,10 @@ import polarspec.oracle
 from polarspec.oracle import (
     BRUTE_MAX_K,
     ENSEMBLE_MAX_FREE,
+    BLOCK_BITS,
     BudgetError,
     WeightHistogram,
+    _hist_of_block,
     _sample_moments,
     _worker_count,
     ensemble_average_exact,
@@ -102,6 +106,87 @@ class TestExactSpectrum:
         cfg = construct_pw(64, BRUTE_MAX_K + 1)
         with pytest.raises(BudgetError):
             exact_spectrum(cfg, identity_transform(cfg))
+
+
+def _packed(codewords: list[int], n: int) -> np.ndarray:
+    words = (n + 63) // 64
+    return np.array([[c >> (64 * w) & ((1 << 64) - 1) for w in range(words)]
+                     for c in codewords], dtype=np.uint64).reshape(-1, words)
+
+
+def _bincount_of_popcounts(block: np.ndarray, n: int) -> list[int]:
+    weights = np.bitwise_count(block).sum(axis=1, dtype=np.intp)
+    return np.bincount(weights, minlength=n + 1).tolist()
+
+
+@st.composite
+def _blocks(draw) -> tuple[int, list[int]]:
+    # 1 to 4 words per codeword (n = 192 is no code length, but the only
+    # way to get three), odd and even lengths, the all-ones word often
+    n = draw(st.sampled_from([2, 64, 128, 192, 256]))
+    ones = (1 << n) - 1
+    word = st.one_of(st.just(0), st.just(ones), st.integers(0, ones))
+    return n, draw(st.lists(word, min_size=1, max_size=9))
+
+
+class TestHistOfBlock:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_blocks())
+    # weight 256 wraps a uint8 sum to 0
+    @example(case=(256, [(1 << 256) - 1]))
+    @example(case=(256, [(1 << 256) - 1, 1]))
+    # weight 128 in both halves of a uint16 pair index
+    @example(case=(128, [(1 << 128) - 1] * 2))
+    def test_matches_bincount_of_summed_popcounts(self, case):
+        n, codewords = case
+        block = _packed(codewords, n)
+        assert _hist_of_block(block, n).tolist() == _bincount_of_popcounts(block, n)
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("length", [2 << 16, (2 << 16) + 1, 3 << 16])
+    def test_chunk_boundaries(self, n, length):
+        # more than one bincount chunk, on the paired and the fallback path
+        words = n // 64
+        block = np.random.default_rng(n + length).integers(
+            0, 1 << 64, (length, words), dtype=np.uint64)
+        block[::7] = ~np.uint64(0)
+        assert _hist_of_block(block, n).tolist() == _bincount_of_popcounts(block, n)
+
+    @pytest.mark.parametrize("bits", [0, 20])
+    def test_n256_with_the_all_ones_word(self, monkeypatch, bits):
+        cfg = CodeConfig(8, (128, 192, 256))
+        monkeypatch.setattr(polarspec.oracle, "BLOCK_BITS", bits)
+        assert exact_spectrum(cfg, identity_transform(cfg)).nonzero() == {0: 1, 128: 6, 256: 1}
+
+    @pytest.mark.parametrize("bits,pair_path", [(0, False), (20, True)])
+    def test_one_codeword_blocks_take_the_fallback(self, monkeypatch, bits, pair_path):
+        cfg = construct_pw(16, 6)
+        t = random_transform(cfg, 4)
+        lengths = []
+        real = polarspec.oracle._chunked_bincount
+
+        def spy(indices, length):
+            lengths.append(length)
+            return real(indices, length)
+
+        monkeypatch.setattr(polarspec.oracle, "BLOCK_BITS", bits)
+        monkeypatch.setattr(polarspec.oracle, "_chunked_bincount", spy)
+        assert list(exact_spectrum(cfg, t).counts) == naive_spectrum(cfg, t)
+        # the fallback counts n + 1 weights; the pair path a 256 (n + 1) table
+        assert set(lengths) == {256 * 17 if pair_path else 17}
+
+    def test_no_block_length_intp_array(self):
+        # block + weights + one chunk's cast; casting the whole block's
+        # weights to intp at once peaks at 17 MiB here
+        cfg = construct_pw(64, 22)
+        t = random_transform(cfg, 3)
+        tracemalloc.start()
+        try:
+            exact_spectrum(cfg, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8 << BLOCK_BITS) + (2 << 20), peak / 2**20
 
 
 def naive_ensemble_average(config: CodeConfig) -> list[int]:

@@ -441,6 +441,15 @@ class TestExactSpectrumCommand:
             "--construction", "pw", "--transform", "crc:10011",
         )
 
+    @pytest.mark.parametrize("transform", ["crc:11,3", "crc:11,8", "crc:10011,10"])
+    def test_crc_flags_that_disagree_are_a_usage_error(self, capsys, transform):
+        # 1 <= --k < KPRIME, and degree(poly) == KPRIME - --k
+        err = run_usage_error(
+            capsys, "exact-spectrum", "--n", "16", "--k", "8",
+            "--construction", "pw", "--transform", transform,
+        )
+        assert "--k" in err and "--transform" in err
+
     def test_scl_method(self, capsys):
         rc, out, _ = run(
             capsys, "exact-spectrum", "--n", "32", "--k", "16",
