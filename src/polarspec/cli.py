@@ -1,15 +1,18 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on runtime or budget failures, 2 on usage
-errors (argparse's convention): an ArgumentTypeError from a type=
-callable, or from a command for a check over several flags.
+main(argv) depends only on argv and the files it names. Exit codes: 0
+on success; 2 for every bad flag value (argparse's usage error), raised
+as an ArgumentTypeError by a type= callable, by a check over several
+flags, or by wrapping the ValueError of the library call a flag feeds
+(construct_pw / construct_rm, crc_transform); 1 for budgets, info-set
+file contents and I/O. Compute calls are never wrapped: their
+ValueErrors are runtime failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from .construct import CodeConfig, construct_pw, construct_rm, load_info_set
@@ -24,8 +27,6 @@ from .pretransform import (
 from .report import SpectrumReport, report_from_average, report_from_histogram
 from .scl import collect_low_weight
 from .spectrum import avg_spectrum, verify_average
-
-THREADS_ENV = "POLARSPEC_THREADS"
 
 
 def _int_at_least(low: int):
@@ -50,19 +51,22 @@ def _method(text: str) -> int | None:
 
 
 def _transform(text: str) -> dict:
-    """--transform text -> the report's descriptor dict (polynomials stay text)."""
+    """--transform text -> the report's descriptor dict (polynomials stay
+    text, checked by parse_poly)."""
     try:
         if text == "identity":
             return {"kind": "identity"}
         if text.startswith("random:"):
             return {"kind": "random", "seed": int(text[7:])}
         if text.startswith("pac:"):
+            parse_poly(text[4:])
             return {"kind": "pac", "poly": text[4:]}
         if text.startswith("crc:") and "," in text:
             poly, kprime = text[4:].rsplit(",", 1)
+            parse_poly(poly)
             return {"kind": "crc", "poly": poly, "k_outer": int(kprime)}
-    except ValueError:
-        pass
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad transform {text!r}: {exc}") from None
     raise argparse.ArgumentTypeError(
         f"bad transform {text!r} (expected identity, random:SEED, pac:POLY or crc:POLY,KPRIME)"
     )
@@ -104,22 +108,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--method", type=_method, default="brute", help="brute | scl:LIST_SIZE")
-    # no default: the parser is built once, the variable is read per run
-    p.add_argument("--threads", type=_int_at_least(1),
-                   help=f"worker cap (default ${THREADS_ENV} or 1); never changes results")
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
+                   help="worker cap (default 1); never changes results")
     p.set_defaults(func=cmd_ensemble)
     return parser
 
 
-def _construct(spec: str, n: int, k: int | None) -> CodeConfig:
+def _construct(spec: str, n: int, k: int | None, k_flag: str = "--k") -> CodeConfig:
+    """The code --construction names, of length --n and dimension k, the
+    value of k_flag."""
     if spec in ("rm", "pw"):
         if k is None:
-            raise argparse.ArgumentTypeError(f"--k is required with --construction {spec}")
-        return (construct_rm if spec == "rm" else construct_pw)(n, k)
+            raise argparse.ArgumentTypeError(f"{k_flag} is required with --construction {spec}")
+        try:
+            return (construct_rm if spec == "rm" else construct_pw)(n, k)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"--n {n} and {k_flag} {k}: {exc}") from None
     if spec.startswith("file:"):
         config = load_info_set(spec[5:], n)
         if k is not None and config.k != k:
-            raise ValueError(f"info-set file has {config.k} indices, --k says {k}")
+            raise ValueError(f"info-set file has {config.k} indices, {k_flag} says {k}")
         return config
     raise argparse.ArgumentTypeError(
         f"unknown construction {spec!r} (expected rm, pw, or file:PATH)"
@@ -155,39 +163,27 @@ def cmd_avg_spectrum(args) -> int:
     return _emit(report_from_average(config, args.construction, spec, args.round), args)
 
 
-def _check_crc_flags(k: int | None, desc: dict) -> None:
-    """--k against crc:POLY,KPRIME: 1 <= --k < KPRIME, and the polynomial's
-    degree is the number of CRC positions KPRIME - --k (crc_transform
-    checks the same, but as a library ValueError naming no flag)."""
-    if k is None:
-        raise argparse.ArgumentTypeError("--k (message bits) is required with a crc transform")
-    kprime = desc["k_outer"]
-    if not 1 <= k < kprime:
-        raise argparse.ArgumentTypeError(
-            f"--k {k} must satisfy 1 <= --k < KPRIME = {kprime} (--transform crc:POLY,KPRIME)"
-        )
-    degree = parse_poly(desc["poly"]).bit_length() - 1
-    if degree != kprime - k:
-        raise argparse.ArgumentTypeError(
-            f"--transform crc polynomial has degree {degree}, but KPRIME - --k = "
-            f"{kprime} - {k} = {kprime - k} CRC positions"
-        )
-
-
 def cmd_exact_spectrum(args) -> int:
     desc, list_size = args.transform, args.method
     if desc["kind"] == "crc":
-        _check_crc_flags(args.k, desc)
-    # a crc transform keeps --k message bits of the K' = k_outer rows constructed
-    config = _construct(args.construction, args.n, desc.get("k_outer", args.k))
-    if desc["kind"] == "crc":
-        config, transform = crc_transform(config, args.k, desc["poly"])
-    elif desc["kind"] == "random":
-        transform = random_transform(config, desc["seed"])
-    elif desc["kind"] == "pac":
-        transform = pac_transform(config, desc["poly"])
+        if args.k is None:
+            raise argparse.ArgumentTypeError("--k (message bits) is required with a crc transform")
+        # --k message bits of the KPRIME rows constructed
+        outer = _construct(args.construction, args.n, desc["k_outer"], "--transform KPRIME")
+        try:
+            config, transform = crc_transform(outer, args.k, desc["poly"])
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"--k {args.k} and --transform crc:{desc['poly']},{desc['k_outer']}: {exc}"
+            ) from None
     else:
-        transform = identity_transform(config)
+        config = _construct(args.construction, args.n, args.k)
+        if desc["kind"] == "random":
+            transform = random_transform(config, desc["seed"])
+        elif desc["kind"] == "pac":
+            transform = pac_transform(config, desc["poly"])
+        else:
+            transform = identity_transform(config)
     if list_size is None:
         try:
             hist = exact_spectrum(config, transform)
@@ -201,17 +197,9 @@ def cmd_exact_spectrum(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    threads = args.threads
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV, "1")
-        try:
-            threads = int(raw)
-        except ValueError:  # exit 1, not a usage error: the value is not a flag
-            raise ValueError(f"{THREADS_ENV}={raw!r} is not an integer") from None
-        if threads < 1:
-            raise argparse.ArgumentTypeError(f"{THREADS_ENV} must be >= 1, got {threads}")
     config = _construct(args.construction, args.n, args.k)
-    hist = ensemble_average_mc(config, args.seed, args.samples, list_size=args.method, threads=threads)
+    hist = ensemble_average_mc(config, args.seed, args.samples, list_size=args.method,
+                               threads=args.threads)
     report = report_from_histogram(config, args.construction, hist, args.round,
                                    transform={"kind": "random"}, list_size=args.method)
     return _emit(report, args)

@@ -3,15 +3,16 @@ fixed transform, exhaustive ensemble averages, and Monte-Carlo estimates.
 
 Both enumeration routes are one walk, _walk. Its steps are generator
 rows and, for the ensemble, free T entries; an entry adds a word to one
-row. A block of up to 2^BLOCK_BITS codewords (bit-packed, one row of
-uint64 words each) is filled in place by doubling, one step per bit of
-the block index; the remaining steps are walked in Gray code order,
-each XORing one word into the whole block, or into the codewords that
-contain the entry's row, in place. Each state of the block is
-histogrammed without a per-codeword intp array: popcounts sum into
-uint8 weights (uint16 from N = 256 on), adjacent pairs of uint8 weights
-are counted as one uint16 index into an (N+1)×256 pair table, and
-bincount casts at most 2^16 indices to intp at a time.
+row. A block of codewords, bit-packed in one row of uint64 words each,
+is filled in place by doubling, one step per bit of the block index,
+while it holds at most 2^BLOCK_BITS words (8 MiB at any N: 2^BLOCK_BITS
+codewords while N <= 64, fewer beyond); the remaining steps are walked
+in Gray code order, each XORing one word into the whole block, or into
+the codewords that contain the entry's row, in place. Each state of the
+block is histogrammed without a per-codeword intp array: popcounts sum
+into uint8 weights (uint16 from N = 256 on), adjacent pairs of uint8
+weights are counted as one uint16 index into an (N+1)×256 pair table,
+and bincount casts at most 2^16 indices to intp at a time.
 
 Complement pairing: T is upper triangular, so its row N is e_N, and when
 N is an information index the generator row N of T·F_N is the all-ones
@@ -53,11 +54,12 @@ __all__ = [
 BRUTE_MAX_K = 28
 ENSEMBLE_MAX_FREE = 24
 ENSEMBLE_MAX_K = 20
-# Enumeration blocks hold up to 2^BLOCK_BITS codewords. It stays 20 though
-# a smaller block lowers peak memory: freeing the 8 MiB block leaves glibc's
-# heap in a state where the SCL decoder's arrays stop page-faulting, and
-# BLOCK_BITS = 16 measured slower SCL jobs (CHANGES.md, the FOUND line on
-# the heap coupling).
+# Enumeration blocks hold up to 2^BLOCK_BITS uint64 words (8 MiB): that many
+# codewords while N <= 64, half as many per doubling of N beyond. It stays
+# 20 though a smaller block lowers peak memory: freeing the 8 MiB block
+# leaves glibc's heap in a state where the SCL decoder's arrays stop
+# page-faulting, and BLOCK_BITS = 16 measured slower SCL jobs (CHANGES.md,
+# the FOUND line on the heap coupling).
 BLOCK_BITS = 20
 _CHUNK = 1 << 16  # indices per bincount call in _hist_of_block: a 512 KiB intp cast
 
@@ -147,9 +149,10 @@ def _walk(rows: list[int], n: int, entries: Sequence[tuple[int, int]] = ()) -> n
     An entry (pos, g) adds word g to row pos. Block index bit p is the
     coefficient of row p, so flipping an entry XORs g into the codewords
     whose index has bit pos set; a row step XORs its word into every
-    codeword. Up to BLOCK_BITS steps double the block in place. With
-    entries every row goes into the block, and at most 2^(BLOCK_BITS-K)
-    codebooks; the remaining steps are walked in Gray code order.
+    codeword. Steps double the block in place while it holds at most
+    2^BLOCK_BITS words. With entries every row goes into the block, and
+    codebooks while the block stays within that bound; the remaining
+    steps are walked in Gray code order.
 
     A last row that is the all-ones word is dropped: each enumerated
     codeword c stands for c + 1^N too, and A_d = h_d + h_(N-d).
@@ -160,11 +163,12 @@ def _walk(rows: list[int], n: int, entries: Sequence[tuple[int, int]] = ()) -> n
         raise RuntimeError("all-ones generator row is not the last row")
     paired = bool(rows) and rows[-1] == ones
     kept = len(rows) - paired
-    if entries:
-        split = kept + max(0, min(len(entries), BLOCK_BITS - len(rows)))
-    else:
-        split = min(kept, BLOCK_BITS)
     words = _wordcount(n)
+    bits = max(0, BLOCK_BITS - (words - 1).bit_length())  # 2^bits codewords: 2^BLOCK_BITS words
+    if entries:
+        split = kept + max(0, min(len(entries), bits - len(rows)))
+    else:
+        split = min(kept, bits)
     steps = [(pos, _to_words(g, words)) for pos, g in [*enumerate(rows[:kept]), *entries]]
     block = np.zeros((1 << split, words), dtype=np.uint64)
     for b, (pos, g) in enumerate(steps[:split]):
@@ -188,11 +192,11 @@ def _walk(rows: list[int], n: int, entries: Sequence[tuple[int, int]] = ()) -> n
 def exact_spectrum(config: CodeConfig, transform: PreTransform) -> WeightHistogram:
     """Weight histogram of one fixed code by enumerating all 2^K messages.
 
-    One walk over the generator rows: the first BLOCK_BITS of them span
-    an in-place block, and the rest are XORed into it in Gray code
-    order. When N is an information index its generator row is the
-    all-ones word: the walk enumerates only the 2^(K-1) codewords of the
-    other rows, and each stands for its complement too.
+    One walk over the generator rows: the first of them span an in-place
+    block of up to 2^BLOCK_BITS words, and the rest are XORed into it in
+    Gray code order. When N is an information index its generator row is
+    the all-ones word: the walk enumerates only the 2^(K-1) codewords of
+    the other rows, and each stands for its complement too.
     """
     if config.k > BRUTE_MAX_K:
         raise BudgetError(f"K={config.k} exceeds brute-force budget {BRUTE_MAX_K}")
@@ -209,9 +213,9 @@ def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
     The same walk as exact_spectrum, over the rows of F_N plus one entry
     per free T entry: setting T_(i,j) adds row j of F_N to generator row
     i. The block holds every codeword of a batch of codebooks, up to
-    2^BLOCK_BITS codewords in all, and the remaining entries are walked
-    in Gray code order, so each step flips a single T entry and patches
-    every codebook in place instead of rebuilding it.
+    2^BLOCK_BITS words in all once every row is in it, and the remaining
+    entries are walked in Gray code order, so each step flips a single T
+    entry and patches every codebook in place instead of rebuilding it.
 
     Row N has no free entries, so when N is an information index every
     codebook has the all-ones word as its last generator row, and the

@@ -188,6 +188,18 @@ class TestHistOfBlock:
             tracemalloc.stop()
         assert peak <= (8 << BLOCK_BITS) + (2 << 20), peak / 2**20
 
+    def test_block_is_bounded_in_words(self):
+        # sixteen words per codeword: a block of 2^BLOCK_BITS codewords
+        # would be 128 MiB
+        cfg = construct_pw(1024, 20)
+        tracemalloc.start()
+        try:
+            exact_spectrum(cfg, identity_transform(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8 << BLOCK_BITS) + (2 << 20), peak / 2**20
+
 
 def naive_ensemble_average(config: CodeConfig) -> list[int]:
     # rebuild-from-scratch route: no Gray stepping, no in-place patches;
@@ -216,6 +228,9 @@ class TestEnsembleAverageExact:
             (3, (3, 5, 6, 8)),
             (3, (1, 7, 8)),
             (3, (4, 6, 7, 8)),
+            # two words per codeword: the block is bounded in words
+            (7, (125, 127, 128)),
+            (7, (124, 126)),
         ],
     )
     def test_matches_rebuild_route(self, monkeypatch, m, info):

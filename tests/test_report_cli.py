@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import polarspec
-from polarspec.cli import THREADS_ENV, main
+from polarspec.cli import main
 from polarspec.construct import CodeConfig, construct_pw, construct_rm
 from polarspec.oracle import (
     WeightHistogram,
@@ -380,6 +380,21 @@ class TestAvgSpectrumCommand:
     def test_k_required_for_builtins(self, capsys):
         run_usage_error(capsys, "avg-spectrum", "--n", "8", "--construction", "pw")
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("avg-spectrum", "--n", "100", "--k", "4", "--construction", "pw"), "--n"),
+            (("avg-spectrum", "--n", "16", "--k", "0", "--construction", "pw"), "--k"),
+            (("avg-spectrum", "--n", "16", "--k", "17", "--construction", "rm"), "--k"),
+            # KPRIME > N
+            (("exact-spectrum", "--n", "16", "--k", "8", "--construction", "pw",
+              "--transform", "crc:11,20"), "--transform"),
+        ],
+        ids=["n-100", "k-0", "k-above-n", "kprime-above-n"],
+    )
+    def test_bad_code_size_is_a_usage_error(self, capsys, argv, flag):
+        assert flag in run_usage_error(capsys, *argv)
+
 
 class TestExactSpectrumCommand:
     def test_identity_brute_matches_library(self, capsys):
@@ -500,12 +515,16 @@ class TestExactSpectrumCommand:
             "--construction", "pw", "--method", "scl:0",
         )
 
-    def test_bad_poly_is_runtime_error(self, capsys):
-        rc, _, err = run(
-            capsys, "exact-spectrum", "--n", "8", "--k", "4",
-            "--construction", "pw", "--transform", "pac:02",
+    @pytest.mark.parametrize(
+        "transform",
+        ["pac:zz", "pac:", "pac:0", "pac:0xg", "pac:02", "crc:zz,12", "crc:0x,12"],
+    )
+    def test_malformed_poly_is_a_usage_error(self, capsys, transform):
+        err = run_usage_error(
+            capsys, "exact-spectrum", "--n", "16", "--k", "8",
+            "--construction", "pw", "--transform", transform,
         )
-        assert rc == 1 and "error:" in err
+        assert "--transform" in err
 
 
 class TestEnsembleCommand:
@@ -531,13 +550,11 @@ class TestEnsembleCommand:
         argv = ["ensemble", "--n", "8", "--k", "4", "--construction", "pw",
                 "--samples", "3"]
         _, base, _ = run(capsys, *argv)
-        monkeypatch.setenv(THREADS_ENV, "3")
+        monkeypatch.setenv("POLARSPEC_THREADS", "3")
         rc, out, _ = run(capsys, *argv)
         assert rc == 0 and out == base
 
-    def test_threads_env_is_read_on_every_run(self, capsys, monkeypatch):
-        # the parser is built once per process, so a default taken while
-        # building it would keep the first value of the variable
+    def test_threads_flag_alone_sets_the_worker_cap(self, capsys, monkeypatch):
         import polarspec.cli
 
         seen = []
@@ -549,24 +566,12 @@ class TestEnsembleCommand:
         monkeypatch.setattr(polarspec.cli, "ensemble_average_mc", recording)
         argv = ["ensemble", "--n", "8", "--k", "4", "--construction", "pw",
                 "--samples", "2"]
-        monkeypatch.setenv(THREADS_ENV, "3")
-        assert run(capsys, *argv)[0] == 0
         assert run(capsys, *argv, "--threads", "2")[0] == 0
-        monkeypatch.setenv(THREADS_ENV, "5")
         assert run(capsys, *argv)[0] == 0
-        monkeypatch.delenv(THREADS_ENV)
+        # the environment sets nothing
+        monkeypatch.setenv("POLARSPEC_THREADS", "3")
         assert run(capsys, *argv)[0] == 0
-        assert seen == [3, 2, 5, 1]
-
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        argv = ["ensemble", "--n", "8", "--k", "4", "--construction", "pw",
-                "--samples", "2"]
-        monkeypatch.setenv(THREADS_ENV, "many")
-        rc, _, err = run(capsys, *argv)
-        assert rc == 1 and "error:" in err
-        assert THREADS_ENV in err and "many" in err
-        monkeypatch.setenv(THREADS_ENV, "0")
-        assert THREADS_ENV in run_usage_error(capsys, *argv)
+        assert seen == [2, 1, 1]
 
     def test_scl_method_carries_saturation(self, capsys):
         rc, out, _ = run(
