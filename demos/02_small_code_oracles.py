@@ -22,14 +22,18 @@ f = free_entry_count(cfg)
 print(f"Selection {cfg.info_set} at N=16: {f} free entries, 2^{f} transforms")
 
 # Both routes give integers over one power of two: the enumeration sums
-# every codebook's count over all 2^F transforms, the recursion gives
-# numerators over 2^(N-K). Equal values are equal integers after shifts.
+# every codebook's count over all 2^F_red reduced transforms (the free
+# entries of T in frozen columns; the rest leave the code unchanged), the
+# recursion gives numerators over 2^(N-K). Equal values are equal
+# integers after shifts.
 enumerated = ensemble_average_exact(cfg)
 recursed = avg_spectrum(cfg)
-agree = [e << recursed.exp == r << f for e, r in zip(enumerated.counts[1:], recursed.nums)]
+f_red = enumerated.samples.bit_length() - 1
+agree = [e << recursed.exp == r << f_red
+         for e, r in zip(enumerated.counts[1:], recursed.nums)]
 print(f"{'d':>3} {'enumerated':>14} {'recursion':>14}")
 for d in range(1, 17):
-    e, r = DyadicRational(enumerated.counts[d], f), recursed[d]
+    e, r = DyadicRational(enumerated.counts[d], f_red), recursed[d]
     if e or r:
         mark = "" if agree[d - 1] else "   MISMATCH"
         print(f"{d:>3} {e.decimal(6):>14} {r.decimal(6):>14}{mark}")

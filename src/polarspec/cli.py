@@ -4,9 +4,9 @@ main(argv) depends only on argv and the files it names. Exit codes: 0
 on success; 2 for every bad flag value (argparse's usage error), raised
 as an ArgumentTypeError by a type= callable, by a check over several
 flags, or by wrapping the ValueError of the library call a flag feeds
-(construct_pw / construct_rm, crc_transform); 1 for budgets, info-set
-file contents and I/O. Compute calls are never wrapped: their
-ValueErrors are runtime failures.
+(construct_pw / construct_rm, the code length check, crc_transform); 1
+for budgets, info-set file contents and I/O. Compute calls are never
+wrapped: their ValueErrors are runtime failures.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import argparse
 import functools
 import sys
 
-from .construct import CodeConfig, construct_pw, construct_rm, load_info_set
+from .construct import CodeConfig, _m_of, construct_pw, construct_rm, load_info_set
 from .oracle import BudgetError, ensemble_average_mc, exact_spectrum
 from .pretransform import (
     crc_transform,
@@ -125,6 +125,10 @@ def _construct(spec: str, n: int, k: int | None, k_flag: str = "--k") -> CodeCon
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"--n {n} and {k_flag} {k}: {exc}") from None
     if spec.startswith("file:"):
+        try:
+            _m_of(n)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"--n {n}: {exc}") from None
         config = load_info_set(spec[5:], n)
         if k is not None and config.k != k:
             raise ValueError(f"info-set file has {config.k} indices, {k_flag} says {k}")

@@ -2,17 +2,30 @@
 fixed transform, exhaustive ensemble averages, and Monte-Carlo estimates.
 
 Both enumeration routes are one walk, _walk. Its steps are generator
-rows and, for the ensemble, free T entries; an entry adds a word to one
-row. A block of codewords, bit-packed in one row of uint64 words each,
-is filled in place by doubling, one step per bit of the block index,
-while it holds at most 2^BLOCK_BITS words (8 MiB at any N: 2^BLOCK_BITS
-codewords while N <= 64, fewer beyond); the remaining steps are walked
-in Gray code order, each XORing one word into the whole block, or into
-the codewords that contain the entry's row, in place. Each state of the
-block is histogrammed without a per-codeword intp array: popcounts sum
-into uint8 weights (uint16 from N = 256 on), adjacent pairs of uint8
-weights are counted as one uint16 index into an (N+1)×256 pair table,
-and bincount casts at most 2^16 indices to intp at a time.
+rows and, for the ensemble, the free entries of the reduced transform
+(below); an entry adds a word to one row. A block of codewords,
+bit-packed in one row of uint64 words each, is filled in place by
+doubling, one step per bit of the block index, while it holds at most
+2^BLOCK_BITS words (8 MiB at any N: 2^BLOCK_BITS codewords while
+N <= 64, fewer beyond); the remaining steps are walked in Gray code
+order, each XORing one word into the whole block, or into the codewords
+that contain the entry's row, in place. Each state of the block is
+histogrammed without a per-codeword intp array: popcounts sum into
+uint8 weights (uint16 from N = 256 on), adjacent pairs of uint8 weights
+are counted as one uint16 index into an (N+1)×256 pair table, and
+bincount casts at most 2^16 indices to intp at a time.
+
+Reduced transforms: a code C_T depends only on the row space of T's
+information rows. Adding later information rows to earlier ones clears
+T's entries in information columns and leaves R, whose F_red free
+entries sit only at (i, j) with i in A, j > i and j frozen. Every R
+stands for the same 2^(F - F_red) transforms (any unit upper-triangular
+block on A x A), so the average over all 2^F transforms equals the
+average over all 2^F_red reduced ones, and the ensemble walks R.
+
+One budget covers both routes: at most 2^MAX_ENUM_BITS (message,
+reduced transform) pairs, K + F_red <= MAX_ENUM_BITS; a fixed transform
+has F_red = 0.
 
 Complement pairing: T is upper triangular, so its row N is e_N, and when
 N is an information index the generator row N of T·F_N is the all-ones
@@ -38,7 +51,6 @@ from .kernel import _check_code_transform, polar_transform, row_bits
 from .pretransform import (
     PreTransform,
     derive_seeds,
-    free_entry_count,
     identity_transform,
     random_transform,
 )
@@ -51,9 +63,7 @@ __all__ = [
     "ensemble_average_mc",
 ]
 
-BRUTE_MAX_K = 28
-ENSEMBLE_MAX_FREE = 24
-ENSEMBLE_MAX_K = 20
+MAX_ENUM_BITS = 28  # K + F_red: 2^28 (message, reduced transform) pairs
 # Enumeration blocks hold up to 2^BLOCK_BITS uint64 words (8 MiB): that many
 # codewords while N <= 64, half as many per doubling of N beyond. It stays
 # 20 though a smaller block lowers peak memory: freeing the 8 MiB block
@@ -68,17 +78,22 @@ class BudgetError(RuntimeError):
     """Requested enumeration exceeds the documented budget."""
 
 
+def _check_budget(k: int, free: int = 0) -> None:
+    if k + free > MAX_ENUM_BITS:
+        raise BudgetError(f"K + F_red = {k} + {free} exceeds enumeration budget {MAX_ENUM_BITS}")
+
+
 @dataclass(frozen=True, slots=True)
 class WeightHistogram:
     """Per-weight tallies indexed d = 0..N, plus provenance metadata.
 
     For the exact sources counts holds integer totals over `samples`
-    codes, a power of two: 1 for "brute" and "scl", 2^F for
-    "exhaustive-ensemble" (every transform once), so the value at d is
-    counts[d] / samples exactly. "monte-carlo" holds float sample means
-    instead, and per-weight sample variance. saturated[d], when present,
-    marks weights whose value is only a lower bound (list pruning may
-    have discarded codewords there).
+    codes, a power of two: 1 for "brute" and "scl", 2^F_red for
+    "exhaustive-ensemble" (every reduced transform once), so the value
+    at d is counts[d] / samples exactly. "monte-carlo" holds float
+    sample means instead, and per-weight sample variance. saturated[d],
+    when present, marks weights whose value is only a lower bound (list
+    pruning may have discarded codewords there).
     """
 
     source: str
@@ -178,7 +193,7 @@ def _walk(rows: list[int], n: int, entries: Sequence[tuple[int, int]] = ()) -> n
         else:
             block[h : 2 * h] = block[:h]
             block[h : 2 * h].reshape(-1, 2 << pos, words)[:, 1 << pos :] ^= g
-    # int64 is safe: the grand total is at most 2^44 under the budgets
+    # int64 is safe: the grand total is at most 2^28 under the budget
     hist = _hist_of_block(block, n)
     for step in range(1, 1 << (len(steps) - split)):
         pos, g = steps[split + (step & -step).bit_length() - 1]
@@ -198,41 +213,40 @@ def exact_spectrum(config: CodeConfig, transform: PreTransform) -> WeightHistogr
     the all-ones word: the walk enumerates only the 2^(K-1) codewords of
     the other rows, and each stands for its complement too.
     """
-    if config.k > BRUTE_MAX_K:
-        raise BudgetError(f"K={config.k} exceeds brute-force budget {BRUTE_MAX_K}")
+    _check_budget(config.k)
     counts = _walk(generator_rows(config, transform), config.n)
     return WeightHistogram("brute", config.n, tuple(int(c) for c in counts))
 
 
 def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
-    """Exact E[N_d] by enumerating every transform in the ensemble.
+    """Exact E[N_d] by enumerating every reduced transform in the ensemble.
 
-    The histogram holds each weight's total over all 2^F transforms, F
-    the free entry count, with samples = 2^F: E[N_d] = counts[d] / 2^F.
+    The histogram holds each weight's total over all 2^F_red reduced
+    transforms, F_red the count of entries (i, j) with i in A, j > i
+    frozen, with samples = 2^F_red: E[N_d] = counts[d] / 2^F_red. Each
+    reduced transform stands for 2^(F - F_red) transforms of the same
+    code, so this is the average over all 2^F transforms too.
 
     The same walk as exact_spectrum, over the rows of F_N plus one entry
-    per free T entry: setting T_(i,j) adds row j of F_N to generator row
+    per free R entry: setting R_(i,j) adds row j of F_N to generator row
     i. The block holds every codeword of a batch of codebooks, up to
     2^BLOCK_BITS words in all once every row is in it, and the remaining
-    entries are walked in Gray code order, so each step flips a single T
+    entries are walked in Gray code order, so each step flips a single R
     entry and patches every codebook in place instead of rebuilding it.
 
     Row N has no free entries, so when N is an information index every
     codebook has the all-ones word as its last generator row, and the
     walk pairs each enumerated codeword with its complement.
     """
-    f = free_entry_count(config)
-    k = config.k
-    if f > ENSEMBLE_MAX_FREE:
-        raise BudgetError(f"F={f} free entries exceed budget {ENSEMBLE_MAX_FREE}")
-    if k > ENSEMBLE_MAX_K:
-        raise BudgetError(f"K={k} exceeds exhaustive-ensemble budget {ENSEMBLE_MAX_K}")
-    n, m = config.n, config.m
-    # in the transform_from_bits layout: rows ascending, columns ascending
-    entries = [(pos, row_bits(m, j)) for pos, i in enumerate(config.info_set)
-               for j in range(i + 1, n + 1)]
+    n, k, info, frozen = config.n, config.k, config.info_set, config.frozen_set
+    # counted, not listed, so that a refusal costs O(K): every later column
+    # of an information row but the later information columns
+    f_red = sum(n - i for i in info) - k * (k - 1) // 2
+    _check_budget(k, f_red)
+    entries = [(pos, row_bits(config.m, j)) for pos, i in enumerate(info) for j in frozen if j > i]
     counts = _walk(generator_rows(config, identity_transform(config)), n, entries)
-    return WeightHistogram("exhaustive-ensemble", n, tuple(int(c) for c in counts), samples=1 << f)
+    return WeightHistogram("exhaustive-ensemble", n, tuple(int(c) for c in counts),
+                           samples=1 << f_red)
 
 
 def _sample_moments(samples: list[tuple]) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -283,8 +297,8 @@ def ensemble_average_mc(
         if list_size < 1:
             raise ValueError(f"list_size must be >= 1, got {list_size}")
         from .scl import collect_low_weight
-    elif config.k > BRUTE_MAX_K:
-        raise BudgetError(f"K={config.k} exceeds brute-force budget {BRUTE_MAX_K}")
+    else:
+        _check_budget(config.k)
 
     n = config.n
     seeds = derive_seeds(master_seed, samples)

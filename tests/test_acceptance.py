@@ -161,7 +161,7 @@ def test_recursion_matches_exhaustive_ensemble():
     for cfg in family:
         enumerated = ensemble_average_exact(cfg)
         recursed = avg_spectrum(cfg)
-        # totals over 2^F against numerators over 2^(N-K), as integers
+        # totals over 2^F_red against numerators over 2^(N-K), as integers
         f = enumerated.samples.bit_length() - 1
         if any(c << recursed.exp != x << f for c, x in zip(enumerated.counts[1:], recursed.nums)):
             mismatches.append(cfg)

@@ -12,9 +12,8 @@ from polarspec.construct import CodeConfig, construct_pw, construct_rm, min_row_
 from polarspec.kernel import encode
 import polarspec.oracle
 from polarspec.oracle import (
-    BRUTE_MAX_K,
-    ENSEMBLE_MAX_FREE,
     BLOCK_BITS,
+    MAX_ENUM_BITS,
     BudgetError,
     WeightHistogram,
     _hist_of_block,
@@ -103,7 +102,7 @@ class TestExactSpectrum:
         assert h.counts[0] == 1
 
     def test_budget(self):
-        cfg = construct_pw(64, BRUTE_MAX_K + 1)
+        cfg = construct_pw(64, MAX_ENUM_BITS + 1)
         with pytest.raises(BudgetError):
             exact_spectrum(cfg, identity_transform(cfg))
 
@@ -202,8 +201,8 @@ class TestHistOfBlock:
 
 
 def naive_ensemble_average(config: CodeConfig) -> list[int]:
-    # rebuild-from-scratch route: no Gray stepping, no in-place patches;
-    # per-weight totals over all 2^F transforms
+    # rebuild-from-scratch route: no Gray stepping, no in-place patches,
+    # no reduction; per-weight totals over all 2^F transforms
     total = [0] * (config.n + 1)
     for b in range(1 << free_entry_count(config)):
         h = exact_spectrum(config, transform_from_bits(config, b))
@@ -212,11 +211,41 @@ def naive_ensemble_average(config: CodeConfig) -> list[int]:
     return total
 
 
+def reduced_free_count(config: CodeConfig) -> int:
+    """F_red: entries (i, j) with i in A, j > i and j frozen."""
+    frozen = set(config.frozen_set)
+    return sum(j in frozen for i in config.info_set for j in range(i + 1, config.n + 1))
+
+
+def assert_matches_literal_route(h: WeightHistogram, config: CodeConfig) -> None:
+    # totals over 2^F_red against the naive totals over 2^F, as integers
+    f, f_red = free_entry_count(config), reduced_free_count(config)
+    assert h.source == "exhaustive-ensemble"
+    assert h.samples == 1 << f_red, config
+    expected = naive_ensemble_average(config)
+    assert all(c << f == x << f_red for c, x in zip(h.counts, expected)), config
+
+
 def assert_matches_recursion(h: WeightHistogram, s, config: CodeConfig) -> None:
-    # totals over 2^F against numerators over 2^(N-K), compared as integers
+    # totals over 2^F_red against numerators over 2^(N-K), compared as integers
     f = h.samples.bit_length() - 1
     assert h.counts[0] == h.samples, config
     assert all(c << s.exp == x << f for c, x in zip(h.counts[1:], s.nums)), config
+
+
+@st.composite
+def _literal_sets(draw, max_free: int = 10) -> CodeConfig:
+    # N <= 16 and at most 2^max_free transforms for the literal route: a
+    # random order of candidate indices, each kept while F stays in bounds
+    m = draw(st.integers(1, 4))
+    n = 1 << m
+    order = draw(st.permutations(range(1, n + 1)))
+    info, free = set(), 0
+    for i in order[: draw(st.integers(1, n))]:
+        if free + n - i <= max_free:
+            info.add(i)
+            free += n - i
+    return CodeConfig(m, tuple(sorted(info or {n})))
 
 
 class TestEnsembleAverageExact:
@@ -237,13 +266,26 @@ class TestEnsembleAverageExact:
         # 0 and 3 walk most free entries in Gray order; 20 doubles them all
         # into the batch
         cfg = CodeConfig(m, info)
-        expected = naive_ensemble_average(cfg)
         for bits in (0, 3, 20):
             monkeypatch.setattr(polarspec.oracle, "BLOCK_BITS", bits)
-            h = ensemble_average_exact(cfg)
-            assert list(h.counts) == expected, bits
-            assert h.source == "exhaustive-ensemble"
-            assert h.samples == 1 << free_entry_count(cfg)
+            assert_matches_literal_route(ensemble_average_exact(cfg), cfg)
+
+    @pytest.mark.parametrize("bits", [0, 20])
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=_literal_sets())
+    def test_reduced_walk_matches_literal_route(self, bits, cfg):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polarspec.oracle, "BLOCK_BITS", bits)
+            assert_matches_literal_route(ensemble_average_exact(cfg), cfg)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [construct_pw(16, 8), construct_pw(32, 8), construct_rm(16, 11)],
+        ids=["pw16-8", "pw32-8", "rm16-11"],
+    )
+    def test_standard_codes_match_recursion(self, cfg):
+        # F = 29, 39 and 60 transform entries, F_red = 1, 11 and 5
+        assert_matches_recursion(ensemble_average_exact(cfg), avg_spectrum(cfg), cfg)
 
     def test_matches_recursion_batch(self):
         # oracle vs closed-form recursion, exact integer equality
@@ -278,7 +320,7 @@ class TestEnsembleAverageExact:
         monkeypatch.setattr(polarspec.oracle, "BLOCK_BITS", bits)
         assert [ensemble_average_exact(cfg) for cfg in self.BATCH_CASES] == expected
         for cfg in self.BATCH_CASES[:4]:
-            assert list(ensemble_average_exact(cfg).counts) == naive_ensemble_average(cfg)
+            assert_matches_literal_route(ensemble_average_exact(cfg), cfg)
 
     def test_mass(self):
         cfg = CodeConfig(3, (4, 6, 7, 8))
@@ -286,9 +328,43 @@ class TestEnsembleAverageExact:
         assert sum(h.counts) == h.samples << cfg.k
 
     def test_budget(self):
+        cfg = construct_pw(64, 16)
+        assert cfg.k + reduced_free_count(cfg) == 72
         with pytest.raises(BudgetError):
-            ensemble_average_exact(construct_pw(64, 16))
-        assert free_entry_count(construct_pw(64, 16)) > ENSEMBLE_MAX_FREE
+            ensemble_average_exact(cfg)
+
+    def test_budget_counts_messages_and_reduced_entries(self, monkeypatch):
+        # K + F_red = 8 + 1: accepted at the limit, refused one below it
+        cfg = construct_pw(16, 8)
+        monkeypatch.setattr(polarspec.oracle, "MAX_ENUM_BITS", 9)
+        assert_matches_recursion(ensemble_average_exact(cfg), avg_spectrum(cfg), cfg)
+        monkeypatch.setattr(polarspec.oracle, "MAX_ENUM_BITS", 8)
+        with pytest.raises(BudgetError, match=r"8 \+ 1"):
+            ensemble_average_exact(cfg)
+        # a fixed transform has F_red = 0: K alone is the rule
+        t = random_transform(cfg, 1)
+        assert list(exact_spectrum(cfg, t).counts) == naive_spectrum(cfg, t)
+        assert ensemble_average_mc(cfg, 0, samples=2).samples == 2
+        monkeypatch.setattr(polarspec.oracle, "MAX_ENUM_BITS", 7)
+        with pytest.raises(BudgetError):
+            exact_spectrum(cfg, t)
+        with pytest.raises(BudgetError):
+            ensemble_average_mc(cfg, 0, samples=2)
+        # the collector is not an enumeration
+        assert ensemble_average_mc(cfg, 0, samples=2, list_size=4).samples == 2
+
+    def test_refused_before_any_walk_or_draw(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("ran past the budget check")
+
+        cfg = construct_pw(32, 28)
+        assert cfg.k + reduced_free_count(cfg) == MAX_ENUM_BITS + 1
+        monkeypatch.setattr(polarspec.oracle, "_walk", fail)
+        monkeypatch.setattr(polarspec.oracle, "random_transform", fail)
+        with pytest.raises(BudgetError):
+            ensemble_average_exact(cfg)
+        with pytest.raises(BudgetError):
+            ensemble_average_mc(construct_pw(64, MAX_ENUM_BITS + 1), 0, samples=3)
 
 
 def _pairing_case(name: str) -> tuple[CodeConfig, PreTransform]:
@@ -348,7 +424,7 @@ class TestComplementPairing:
         seen.clear()
         ensemble = CodeConfig(3, (6, 7, 8) if paired else (5, 6, 7))
         ensemble_average_exact(ensemble)
-        assert sum(seen) == 1 << (free_entry_count(ensemble) + ensemble.k - paired)
+        assert sum(seen) == 1 << (reduced_free_count(ensemble) + ensemble.k - paired)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -462,7 +538,7 @@ class TestEnsembleAverageMC:
         with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
             ensemble_average_mc(cfg, 0, samples=3, threads=0)
         with pytest.raises(BudgetError):
-            ensemble_average_mc(construct_pw(64, BRUTE_MAX_K + 1), 0, samples=1)
+            ensemble_average_mc(construct_pw(64, MAX_ENUM_BITS + 1), 0, samples=1)
 
 
 class TestSampleMoments:

@@ -389,8 +389,10 @@ class TestAvgSpectrumCommand:
             # KPRIME > N
             (("exact-spectrum", "--n", "16", "--k", "8", "--construction", "pw",
               "--transform", "crc:11,20"), "--transform"),
+            # checked before the file is read: an empty file is an exit-1 error
+            (("avg-spectrum", "--n", "100", "--construction", "file:/dev/null"), "--n"),
         ],
-        ids=["n-100", "k-0", "k-above-n", "kprime-above-n"],
+        ids=["n-100", "k-0", "k-above-n", "kprime-above-n", "file-n-100"],
     )
     def test_bad_code_size_is_a_usage_error(self, capsys, argv, flag):
         assert flag in run_usage_error(capsys, *argv)
