@@ -9,7 +9,8 @@ doubling, one step per bit of the block index, while it holds at most
 2^BLOCK_BITS words (8 MiB at any N: 2^BLOCK_BITS codewords while
 N <= 64, fewer beyond); the remaining steps are walked in Gray code
 order, each XORing one word into the whole block, or into the codewords
-that contain the entry's row, in place. Each state of the block is
+that contain the entry's row, in place; a row outside the block keeps
+its word, patched by its entries. Each state of the block is
 histogrammed without a per-codeword intp array: popcounts sum into
 uint8 weights (uint16 from N = 256 on), adjacent pairs of uint8 weights
 are counted as one uint16 index into an (N+1)×256 pair table, and
@@ -51,6 +52,7 @@ from .kernel import _check_code_transform, polar_transform, row_bits
 from .pretransform import (
     PreTransform,
     derive_seeds,
+    free_entry_count,
     identity_transform,
     random_transform,
 )
@@ -164,10 +166,11 @@ def _walk(rows: list[int], n: int, entries: Sequence[tuple[int, int]] = ()) -> n
     An entry (pos, g) adds word g to row pos. Block index bit p is the
     coefficient of row p, so flipping an entry XORs g into the codewords
     whose index has bit pos set; a row step XORs its word into every
-    codeword. Steps double the block in place while it holds at most
-    2^BLOCK_BITS words. With entries every row goes into the block, and
-    codebooks while the block stays within that bound; the remaining
-    steps are walked in Gray code order.
+    codeword. Steps, rows first, double the block in place while it
+    holds at most 2^BLOCK_BITS words; the remaining steps are walked in
+    Gray code order. A row outside the block keeps its current word, and
+    an entry of that row patches the word, and every codeword while the
+    row's coefficient is set.
 
     A last row that is the all-ones word is dropped: each enumerated
     codeword c stands for c + 1^N too, and A_d = h_d + h_(N-d).
@@ -180,11 +183,8 @@ def _walk(rows: list[int], n: int, entries: Sequence[tuple[int, int]] = ()) -> n
     kept = len(rows) - paired
     words = _wordcount(n)
     bits = max(0, BLOCK_BITS - (words - 1).bit_length())  # 2^bits codewords: 2^BLOCK_BITS words
-    if entries:
-        split = kept + max(0, min(len(entries), bits - len(rows)))
-    else:
-        split = min(kept, bits)
     steps = [(pos, _to_words(g, words)) for pos, g in [*enumerate(rows[:kept]), *entries]]
+    split = min(len(steps), bits)
     block = np.zeros((1 << split, words), dtype=np.uint64)
     for b, (pos, g) in enumerate(steps[:split]):
         h = 1 << b
@@ -196,10 +196,16 @@ def _walk(rows: list[int], n: int, entries: Sequence[tuple[int, int]] = ()) -> n
     # int64 is safe: the grand total is at most 2^28 under the budget
     hist = _hist_of_block(block, n)
     for step in range(1, 1 << (len(steps) - split)):
-        pos, g = steps[split + (step & -step).bit_length() - 1]
-        # an entry's row is in the block; a row past it is in every codeword
-        view = block.reshape(-1, 2 << pos, words)[:, 1 << pos :] if pos < split else block
-        view ^= g
+        s = split + (step & -step).bit_length() - 1
+        pos, g = steps[s]
+        if pos < split:  # an entry of a row in the block
+            block.reshape(-1, 2 << pos, words)[:, 1 << pos :] ^= g
+        elif s == pos or (step ^ step >> 1) >> (pos - split) & 1:
+            # a row outside the block (its current word), or an entry of one
+            # whose Gray bit, pos - split, puts it in every codeword
+            block ^= g
+        if s > pos >= split:  # the entry joins its row's word, in place
+            steps[pos][1][:] ^= g
         hist += _hist_of_block(block, n)
     return hist + hist[::-1] if paired else hist
 
@@ -229,10 +235,11 @@ def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
 
     The same walk as exact_spectrum, over the rows of F_N plus one entry
     per free R entry: setting R_(i,j) adds row j of F_N to generator row
-    i. The block holds every codeword of a batch of codebooks, up to
-    2^BLOCK_BITS words in all once every row is in it, and the remaining
-    entries are walked in Gray code order, so each step flips a single R
-    entry and patches every codebook in place instead of rebuilding it.
+    i. The block holds up to 2^BLOCK_BITS words: the codewords of a
+    batch of codebooks, or part of one codebook when the rows alone
+    overflow it. The remaining rows and entries are walked in Gray code
+    order, so each entry step flips a single R entry and patches the
+    block in place instead of rebuilding it.
 
     Row N has no free entries, so when N is an information index every
     codebook has the all-ones word as its last generator row, and the
@@ -241,7 +248,7 @@ def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
     n, k, info, frozen = config.n, config.k, config.info_set, config.frozen_set
     # counted, not listed, so that a refusal costs O(K): every later column
     # of an information row but the later information columns
-    f_red = sum(n - i for i in info) - k * (k - 1) // 2
+    f_red = free_entry_count(config) - k * (k - 1) // 2
     _check_budget(k, f_red)
     entries = [(pos, row_bits(config.m, j)) for pos, i in enumerate(info) for j in frozen if j > i]
     counts = _walk(generator_rows(config, identity_transform(config)), n, entries)
@@ -300,7 +307,6 @@ def ensemble_average_mc(
     else:
         _check_budget(config.k)
 
-    n = config.n
     seeds = derive_seeds(master_seed, samples)
 
     def one(seed: int) -> WeightHistogram:
@@ -319,16 +325,14 @@ def ensemble_average_mc(
         results = [one(s) for s in seeds]
 
     means, variance = _sample_moments([hist.counts for hist in results])
-    sat = [False] * (n + 1)
-    for hist in results:
-        if hist.saturated is not None:
-            sat = [a or b for a, b in zip(sat, hist.saturated)]
+    # a weight is saturated when any sample's list was pruned there
+    sat = None if list_size is None else tuple(map(any, zip(*(h.saturated for h in results))))
     return WeightHistogram(
         "monte-carlo",
-        n,
+        config.n,
         means,
         samples=samples,
         seed=master_seed,
         variance=variance,
-        saturated=tuple(sat) if list_size is not None else None,
+        saturated=sat,
     )

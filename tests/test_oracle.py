@@ -199,6 +199,20 @@ class TestHistOfBlock:
             tracemalloc.stop()
         assert peak <= (8 << BLOCK_BITS) + (2 << 20), peak / 2**20
 
+    def test_ensemble_block_is_bounded_in_words(self, monkeypatch):
+        # K = 22, F_red = 1: the 21 rows besides row N overflow a 2^16-word
+        # block, so most rows are walked outside it (all in it: 16 MiB)
+        cfg = CodeConfig(5, (10, *range(12, 33)))
+        monkeypatch.setattr(polarspec.oracle, "BLOCK_BITS", 16)
+        tracemalloc.start()
+        try:
+            h = ensemble_average_exact(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8 << 16) + (2 << 20), peak / 2**20
+        assert_matches_recursion(h, avg_spectrum(cfg), cfg)
+
 
 def naive_ensemble_average(config: CodeConfig) -> list[int]:
     # rebuild-from-scratch route: no Gray stepping, no in-place patches,
