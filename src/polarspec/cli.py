@@ -108,8 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--method", type=_method, default="brute", help="brute | scl:LIST_SIZE")
-    p.add_argument("--threads", type=_int_at_least(1), default=1,
-                   help="worker cap (default 1); never changes results")
     p.set_defaults(func=cmd_ensemble)
     return parser
 
@@ -202,8 +200,7 @@ def cmd_exact_spectrum(args) -> int:
 
 def cmd_ensemble(args) -> int:
     config = _construct(args.construction, args.n, args.k)
-    hist = ensemble_average_mc(config, args.seed, args.samples, list_size=args.method,
-                               threads=args.threads)
+    hist = ensemble_average_mc(config, args.seed, args.samples, list_size=args.method)
     report = report_from_histogram(config, args.construction, hist, args.round,
                                    transform={"kind": "random"}, list_size=args.method)
     return _emit(report, args)

@@ -41,7 +41,6 @@ two is the decisive cross-validation and is enforced by the test suite.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -87,7 +86,8 @@ def _check_budget(k: int, free: int = 0) -> None:
 
 @dataclass(frozen=True, slots=True)
 class WeightHistogram:
-    """Per-weight tallies indexed d = 0..N, plus provenance metadata.
+    """Per-weight tallies indexed d = 0..N (N = len(counts) - 1), plus
+    provenance metadata.
 
     For the exact sources counts holds integer totals over `samples`
     codes, a power of two: 1 for "brute" and "scl", 2^F_red for
@@ -99,7 +99,6 @@ class WeightHistogram:
     """
 
     source: str
-    n: int
     counts: tuple
     samples: int = 1
     seed: int | None = None
@@ -221,7 +220,7 @@ def exact_spectrum(config: CodeConfig, transform: PreTransform) -> WeightHistogr
     """
     _check_budget(config.k)
     counts = _walk(generator_rows(config, transform), config.n)
-    return WeightHistogram("brute", config.n, tuple(int(c) for c in counts))
+    return WeightHistogram("brute", tuple(int(c) for c in counts))
 
 
 def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
@@ -252,7 +251,7 @@ def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
     _check_budget(k, f_red)
     entries = [(pos, row_bits(config.m, j)) for pos, i in enumerate(info) for j in frozen if j > i]
     counts = _walk(generator_rows(config, identity_transform(config)), n, entries)
-    return WeightHistogram("exhaustive-ensemble", n, tuple(int(c) for c in counts),
+    return WeightHistogram("exhaustive-ensemble", tuple(int(c) for c in counts),
                            samples=1 << f_red)
 
 
@@ -275,31 +274,23 @@ def _sample_moments(samples: list[tuple]) -> tuple[tuple[float, ...], tuple[floa
     return means, variance
 
 
-def _worker_count(threads: int, samples: int) -> int:
-    """Threads worth starting: no more than the samples or the CPUs."""
-    return max(1, min(threads, samples, os.cpu_count() or 1))
-
-
 def ensemble_average_mc(
     config: CodeConfig,
     master_seed: int,
     samples: int,
     list_size: int | None = None,
-    threads: int = 1,
 ) -> WeightHistogram:
     """Monte-Carlo E[N_d] estimate over `samples` random transforms.
 
-    Per-sample seeds come from derive_seeds(master_seed, samples), so the
-    result is reproducible for any thread count; min(threads, samples,
-    CPUs) worker threads run. With list_size None each sample is measured
+    Per-sample seeds come from derive_seeds(master_seed, samples), and
+    the samples are measured one after another, so the result depends
+    only on the arguments. With list_size None each sample is measured
     exactly by brute force; with an int list_size >= 1 the low-weight
     collector of that list size measures it and its saturation flags
     propagate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     if list_size is not None:
         if list_size < 1:
             raise ValueError(f"list_size must be >= 1, got {list_size}")
@@ -315,21 +306,13 @@ def ensemble_average_mc(
             return exact_spectrum(config, t)
         return collect_low_weight(config, t, list_size)
 
-    workers = _worker_count(threads, samples)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, seeds))
-    else:
-        results = [one(s) for s in seeds]
+    results = [one(s) for s in seeds]
 
     means, variance = _sample_moments([hist.counts for hist in results])
     # a weight is saturated when any sample's list was pruned there
     sat = None if list_size is None else tuple(map(any, zip(*(h.saturated for h in results))))
     return WeightHistogram(
         "monte-carlo",
-        config.n,
         means,
         samples=samples,
         seed=master_seed,

@@ -56,8 +56,8 @@ class SplitMix64:
 def derive_seeds(master_seed: int, count: int) -> list[int]:
     """Per-sample seeds: the first `count` outputs of SplitMix64(master).
 
-    Splitting from a master seed keeps Monte-Carlo runs reproducible for
-    any worker count — sample t always receives the same seed.
+    Splitting from a master seed keeps Monte-Carlo runs reproducible:
+    sample t always receives the same seed, whatever the sample count.
     """
     gen = SplitMix64(master_seed)
     return [gen.next_u64() for _ in range(count)]

@@ -18,7 +18,6 @@ from polarspec.oracle import (
     WeightHistogram,
     _hist_of_block,
     _sample_moments,
-    _worker_count,
     ensemble_average_exact,
     ensemble_average_mc,
     exact_spectrum,
@@ -27,12 +26,14 @@ from polarspec.oracle import (
 from polarspec.pretransform import (
     PreTransform,
     crc_transform,
+    derive_seeds,
     free_entry_count,
     identity_transform,
     pac_transform,
     random_transform,
     transform_from_bits,
 )
+from polarspec.scl import collect_low_weight
 from polarspec.spectrum import avg_spectrum
 
 
@@ -68,7 +69,7 @@ class TestExactSpectrum:
         cfg = CodeConfig(1, (1, 2))
         h = exact_spectrum(cfg, identity_transform(cfg))
         assert h.counts == (1, 2, 1)
-        assert h.source == "brute" and h.n == 2 and h.samples == 1
+        assert h.source == "brute" and h.samples == 1
 
     def test_extended_hamming(self):
         cfg = construct_rm(8, 4)
@@ -489,23 +490,31 @@ class TestComplementPairing:
 
 
 class TestEnsembleAverageMC:
-    def test_reproducible_and_thread_invariant(self):
+    def test_reproducible(self):
         cfg = construct_pw(16, 6)
         a = ensemble_average_mc(cfg, 11, samples=8)
         b = ensemble_average_mc(cfg, 11, samples=8)
-        c = ensemble_average_mc(cfg, 11, samples=8, threads=3)
-        assert a == b == c
+        assert a == b
         assert ensemble_average_mc(cfg, 12, samples=8) != a
 
-    def test_worker_count_is_capped(self, monkeypatch):
-        monkeypatch.setattr(polarspec.oracle.os, "cpu_count", lambda: 4)
-        assert _worker_count(1, 100) == 1
-        assert _worker_count(8, 100) == 4
-        assert _worker_count(8, 3) == 3
-        assert _worker_count(2, 100) == 2
-        assert _worker_count(0, 5) == 1
-        monkeypatch.setattr(polarspec.oracle.os, "cpu_count", lambda: None)
-        assert _worker_count(8, 100) == 1
+    @pytest.mark.parametrize("list_size", [None, 3])
+    def test_result_is_the_moments_of_its_samples(self, list_size):
+        # one measurement per derived seed, folded by _sample_moments; at
+        # list size 3 the collector prunes from d=3 in one sample and from
+        # d=4 in the others, so the saturation fold is an OR over samples
+        cfg = CodeConfig(4, (1, 4, 9, 12, 14))
+        hists = [
+            exact_spectrum(cfg, t) if list_size is None else collect_low_weight(cfg, t, list_size)
+            for t in (random_transform(cfg, x) for x in derive_seeds(21, 4))
+        ]
+        means, variance = _sample_moments([h.counts for h in hists])
+        sat = None
+        if list_size is not None:
+            sat = tuple(any(h.saturated[d] for h in hists) for d in range(cfg.n + 1))
+            assert sat != hists[-1].saturated and sat.index(True) == 3
+        assert ensemble_average_mc(cfg, 21, 4, list_size=list_size) == WeightHistogram(
+            "monte-carlo", means, samples=4, seed=21, variance=variance, saturated=sat
+        )
 
     def test_source_fields(self):
         cfg = construct_pw(8, 4)
@@ -547,10 +556,6 @@ class TestEnsembleAverageMC:
             ensemble_average_mc(cfg, 0, samples=0)
         with pytest.raises(ValueError):
             ensemble_average_mc(cfg, 0, samples=2, list_size=0)
-        with pytest.raises(ValueError, match="threads must be >= 1, got -5"):
-            ensemble_average_mc(cfg, 0, samples=3, threads=-5)
-        with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
-            ensemble_average_mc(cfg, 0, samples=3, threads=0)
         with pytest.raises(BudgetError):
             ensemble_average_mc(construct_pw(64, MAX_ENUM_BITS + 1), 0, samples=1)
 
@@ -578,5 +583,5 @@ class TestSampleMoments:
 
 
 def test_weight_histogram_nonzero():
-    h = WeightHistogram("brute", 4, (1, 0, 3, 0, 0))
+    h = WeightHistogram("brute", (1, 0, 3, 0, 0))
     assert h.nonzero() == {0: 1, 2: 3}

@@ -79,11 +79,11 @@ class TestReportObjects:
 
     def test_exact_histogram_renders_counts_over_samples(self):
         cfg = CodeConfig(1, (1, 2))
-        rep = report_from_histogram(cfg, "pw", WeightHistogram("brute", 2, (1, 2, 1), samples=4))
+        rep = report_from_histogram(cfg, "pw", WeightHistogram("brute", (1, 2, 1), samples=4))
         assert [(e["num"], e["exp2"], e["value"]) for e in rep.entries] == [
             ("1", 2, "0.250000"), ("1", 1, "0.500000"), ("1", 2, "0.250000")]
         for samples in (0, -4, 3, 6):
-            hist = WeightHistogram("exhaustive-ensemble", 2, (1, 2, 1), samples=samples)
+            hist = WeightHistogram("exhaustive-ensemble", (1, 2, 1), samples=samples)
             with pytest.raises(ValueError, match=f"power-of-two samples >= 1, got {samples}"):
                 report_from_histogram(cfg, "pw", hist)
 
@@ -540,14 +540,6 @@ class TestEnsembleCommand:
         assert doc["samples"] == 4 and doc["seed"] == 9
         assert doc["method"] == "monte-carlo"
 
-    def test_thread_count_never_changes_output(self, capsys):
-        argv = ["ensemble", "--n", "16", "--k", "6", "--construction", "pw",
-                "--samples", "6", "--seed", "1"]
-        rc1, out1, _ = run(capsys, *argv, "--threads", "1")
-        rc2, out2, _ = run(capsys, *argv, "--threads", "4")
-        assert rc1 == rc2 == 0
-        assert out1 == out2
-
     def test_threads_env_default(self, capsys, monkeypatch):
         argv = ["ensemble", "--n", "8", "--k", "4", "--construction", "pw",
                 "--samples", "3"]
@@ -555,25 +547,6 @@ class TestEnsembleCommand:
         monkeypatch.setenv("POLARSPEC_THREADS", "3")
         rc, out, _ = run(capsys, *argv)
         assert rc == 0 and out == base
-
-    def test_threads_flag_alone_sets_the_worker_cap(self, capsys, monkeypatch):
-        import polarspec.cli
-
-        seen = []
-
-        def recording(*args, threads, **kwargs):
-            seen.append(threads)
-            return ensemble_average_mc(*args, threads=threads, **kwargs)
-
-        monkeypatch.setattr(polarspec.cli, "ensemble_average_mc", recording)
-        argv = ["ensemble", "--n", "8", "--k", "4", "--construction", "pw",
-                "--samples", "2"]
-        assert run(capsys, *argv, "--threads", "2")[0] == 0
-        assert run(capsys, *argv)[0] == 0
-        # the environment sets nothing
-        monkeypatch.setenv("POLARSPEC_THREADS", "3")
-        assert run(capsys, *argv)[0] == 0
-        assert seen == [2, 1, 1]
 
     def test_scl_method_carries_saturation(self, capsys):
         rc, out, _ = run(
@@ -624,14 +597,15 @@ class TestEnsembleCommand:
                 assert mean == target
         assert saw_variance
 
-    def test_bad_samples_and_threads(self, capsys):
+    def test_bad_samples_and_removed_threads_flag(self, capsys):
         run_usage_error(
             capsys, "ensemble", "--n", "8", "--k", "4", "--construction", "pw",
             "--samples", "0",
         )
+        # the samples run in one loop: there is no worker count to set
         run_usage_error(
             capsys, "ensemble", "--n", "8", "--k", "4", "--construction", "pw",
-            "--samples", "2", "--threads", "0",
+            "--samples", "2", "--threads", "2",
         )
 
 

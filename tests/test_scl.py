@@ -296,7 +296,7 @@ class TestCollectLowWeight:
     def test_source_metadata(self):
         cfg = construct_pw(8, 4)
         h = collect_low_weight(cfg, identity_transform(cfg), 4)
-        assert h.source == "scl" and h.n == 8 and h.samples == 1
+        assert h.source == "scl" and len(h.counts) == 9 and h.samples == 1
 
 
 def test_pw_128_64_identity_min_weight_count():
