@@ -2,10 +2,11 @@
 
 Every probability and expected count produced by the recursion engine is
 dyadic. Exact results travel as integer numerators over one power of two
-(AverageSpectrum.nums over 2^exp, WeightHistogram.counts over samples);
-this type renders one value in lowest terms, for reading a single entry
-and for the report's num/exp2 pair. It carries no arithmetic and no
-ordering: work on the integers, or take to_fraction().
+(AverageSpectrum.nums over 2^exp, WeightHistogram.counts over samples).
+lowest_terms reduces one such pair, and int_text and decimal_text render
+it as text; reports call them directly. DyadicRational holds one value
+in lowest terms, for reading a single entry. It carries no arithmetic
+and no ordering: work on the integers, or take to_fraction().
 """
 
 from __future__ import annotations
@@ -39,6 +40,34 @@ def int_text(x: int) -> str:
     return int_text(hi) + int_text(lo).rjust(width, "0")
 
 
+def lowest_terms(num: int, exp: int) -> tuple[int, int]:
+    """(num, exp) of num / 2^exp, for ints num >= 0 and exp >= 0, in lowest
+    terms: num is odd whenever exp > 0, and zero is (0, 0)."""
+    shift = min(exp, (num & -num).bit_length() - 1) if num else exp
+    return num >> shift, exp - shift
+
+
+def decimal_text(num: int, exp: int, digits: int) -> str:
+    """num / 2^exp, for ints num >= 0 and exp >= 0, as an exact decimal
+    string with ``digits`` fractional digits.
+
+    Rounds half to even; digits=0 yields a plain integer string. The
+    value, not its terms, decides the text, so num / 2^exp need not be
+    in lowest terms.
+    """
+    if digits < 0:
+        raise ValueError("digits must be >= 0")
+    scaled = num * 10**digits
+    q = scaled >> exp
+    twice = (scaled & ((1 << exp) - 1)) << 1
+    if twice > (1 << exp) or (twice == (1 << exp) and q & 1):
+        q += 1
+    if digits == 0:
+        return int_text(q)
+    text = int_text(q).rjust(digits + 1, "0")
+    return f"{text[:-digits]}.{text[-digits:]}"
+
+
 class DyadicRational:
     """num / 2^exp with num >= 0 and exp >= 0, kept in lowest terms.
 
@@ -59,12 +88,7 @@ class DyadicRational:
             raise ValueError("negative numerator")
         if exp < 0:
             raise ValueError("negative exponent")
-        if num == 0:
-            exp = 0
-        else:
-            shift = min(exp, (num & -num).bit_length() - 1)
-            num >>= shift
-            exp -= shift
+        num, exp = lowest_terms(num, exp)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 
@@ -97,17 +121,7 @@ class DyadicRational:
 
         Rounds half to even; digits=0 yields a plain integer string.
         """
-        if digits < 0:
-            raise ValueError("digits must be >= 0")
-        scaled = self.num * 10**digits
-        q = scaled >> self.exp
-        twice = (scaled & ((1 << self.exp) - 1)) << 1
-        if twice > (1 << self.exp) or (twice == (1 << self.exp) and q & 1):
-            q += 1
-        if digits == 0:
-            return int_text(q)
-        text = int_text(q).rjust(digits + 1, "0")
-        return f"{text[:-digits]}.{text[-digits:]}"
+        return decimal_text(self.num, self.exp, digits)
 
     def __repr__(self):
         return f"DyadicRational({int_text(self.num)}, {self.exp})"

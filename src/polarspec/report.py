@@ -5,80 +5,93 @@ newline) so byte-identical round-trips can be asserted by golden tests.
 Exact values are carried as {"num": decimal string, "exp2": int} pairs,
 never as floats; decimal renderings are strings produced by the exact
 dyadic rounding.
+
+A report keeps its entries as rows of scalars under one tuple of column
+names, built straight from the integers. Exact entries have the columns
+(d, exp2, num, value), Monte-Carlo entries (d, samples, value,
+variance), and saturation flags add "saturated" just before "value":
+the sorted key order, so each row is written through one template for
+its shape.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
-from dataclasses import dataclass, field
-from itertools import chain
+import operator
+from dataclasses import dataclass
+from itertools import starmap
 from json.encoder import encode_basestring_ascii
 
 from .construct import CodeConfig
-from .dyadic import DyadicRational, int_text
+from .dyadic import decimal_text, int_text, lowest_terms
 from .oracle import WeightHistogram
 from .spectrum import AverageSpectrum
 
 __all__ = ["SpectrumReport", "report_from_average", "report_from_histogram"]
 
 CSV_COLUMNS = ("d", "value_decimal", "num", "exp2", "variance", "samples", "saturated")
+_EXACT = ("d", "exp2", "num", "value")
+_MONTE_CARLO = ("d", "samples", "value", "variance")
+_QUOTED = {"num", "value", "variance"}  # decimal strings: digits, "." and "-" only
 
 
 @dataclass(frozen=True, slots=True)
 class SpectrumReport:
-    """One spectrum computation, ready for serialization."""
+    """One spectrum computation, ready for serialization.
+
+    ``rows`` holds one tuple per entry, its values under ``columns``.
+    """
 
     code: dict
     method: str
-    entries: list = field(default_factory=list)
+    columns: tuple[str, ...]
+    rows: tuple[tuple, ...]
     transform: dict | None = None
     samples: int | None = None
     seed: int | None = None
     list_size: int | None = None
 
+    @property
+    def entries(self) -> list[dict]:
+        """One fresh dict per entry, keyed by column name."""
+        return [dict(zip(self.columns, row)) for row in self.rows]
+
+    def _metadata(self) -> dict:
+        """The method and every other field that is set, beside code and entries."""
+        optional = {"transform": self.transform, "samples": self.samples, "seed": self.seed,
+                    "list_size": self.list_size}
+        return {"method": self.method, **{k: v for k, v in optional.items() if v is not None}}
+
     def to_dict(self) -> dict:
-        out: dict = {"code": self.code, "method": self.method, "entries": self.entries}
-        if self.transform is not None:
-            out["transform"] = self.transform
-        if self.samples is not None:
-            out["samples"] = self.samples
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.list_size is not None:
-            out["list_size"] = self.list_size
-        return out
+        return {"code": self.code, "entries": self.entries, **self._metadata()}
 
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\\n"."""
-        return _canonical(self.to_dict(), 0) + "\n"
+        rows = self.rows
+        if "saturated" in self.columns:  # json's true/false, not str(bool)
+            at = self.columns.index("saturated")
+            rows = [(*r[:at], "true" if r[at] else "false", *r[at + 1:]) for r in rows]
+        fields = ",\n      ".join(f'"{c}": ' + ('"{}"' if c in _QUOTED else "{}")
+                                   for c in self.columns)
+        template = "    {{\n      " + fields + "\n    }}"
+        entries = "[\n" + ",\n".join(starmap(template.format, rows)) + "\n  ]" if rows else "[]"
+        # "code" and "entries" sort before every metadata key
+        metadata = _canonical(self._metadata(), 0)[2:]  # without its opening "{\n"
+        return f'{{\n  "code": {_canonical(self.code, 1)},\n  "entries": {entries},\n{metadata}\n'
 
     def to_csv(self) -> str:
+        """Each CSV column holds the entry's value of that name, and
+        value_decimal its value; an absent value is left empty."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for e in self.entries:
-            sat = e.get("saturated")
-            writer.writerow(
-                [
-                    e["d"],
-                    e["value"],
-                    e.get("num", ""),
-                    e.get("exp2", ""),
-                    e.get("variance", ""),
-                    e.get("samples", ""),
-                    "" if sat is None else ("true" if sat else "false"),
-                ]
-            )
+            if "saturated" in e:
+                e["saturated"] = "true" if e["saturated"] else "false"
+            writer.writerow(e.get("value" if c == "value_decimal" else c, "") for c in CSV_COLUMNS)
         return buf.getvalue()
-
-
-@functools.cache
-def _flat_encoder(depth: int):
-    """json's one-line encoder, items separated by a newline and depth indents."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
 
 
 _SCALARS = {str, int, float, bool, type(None)}
@@ -89,31 +102,20 @@ def _canonical(obj, depth: int) -> str:
     for objects whose nested dicts have string keys.
 
     With an indent, json falls back to its pure-Python encoder. Without
-    one it takes the C path, so each container of scalars is encoded
-    flat with ",\n" plus the item indent as separator; encoded strings
+    one it takes the C path, so a container of scalars is encoded in one
+    call with ",\n" plus the item indent as separator; encoded strings
     escape newlines, so every raw newline in its output is a separator.
-    A list of non-empty plain dicts of scalars, such as a report's
-    entries, is encoded flat in one call at the dicts' item indent; a "}"
-    before a separator can only close an item, so each "},\n" + indent +
-    "{" is an item boundary, rewritten to the list's own indent.
     """
     if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return _flat_encoder(0)(obj)  # a scalar, [] or {}
+        return json.dumps(obj)  # a scalar, [] or {}
     is_dict = isinstance(obj, dict)
     pad, inner = "  " * depth, "  " * (depth + 1)
     if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
-        body = _flat_encoder(depth + 1)(obj)[1:-1]
+        body = json.JSONEncoder(sort_keys=True, separators=(f",\n{inner}", ": ")).encode(obj)[1:-1]
     elif is_dict:
         body = f",\n{inner}".join(
             f"{encode_basestring_ascii(k)}: {_canonical(v, depth + 1)}" for k, v in sorted(obj.items())
         )
-    elif {dict}.issuperset(map(type, obj)) and all(obj) and _SCALARS.issuperset(
-        map(type, chain.from_iterable(map(dict.values, obj)))
-    ):
-        inner2 = inner + "  "
-        flat = _flat_encoder(depth + 2)(obj)[2:-2]  # without the outer "[{" and "}]"
-        items = flat.replace(f"}},\n{inner2}{{", f"\n{inner}}},\n{inner}{{\n{inner2}")
-        body = f"{{\n{inner2}{items}\n{inner}}}"
     else:
         body = f",\n{inner}".join(_canonical(v, depth + 1) for v in obj)
     left, right = ("{", "}") if is_dict else ("[", "]")
@@ -129,10 +131,13 @@ def _code_block(config: CodeConfig, construction: str) -> dict:
     }
 
 
-def _exact(num: int, exp: int, digits: int) -> dict:
-    """num / 2^exp as the report's num/exp2 pair, in lowest terms, and decimal value."""
-    val = DyadicRational(num, exp)
-    return {"num": int_text(val.num), "exp2": val.exp, "value": val.decimal(digits)}
+def _exact(num: int, exp: int, digits: int) -> tuple[int, str, str]:
+    """num / 2^exp as the report's exp2, num and value, in lowest terms."""
+    num = operator.index(num)  # numpy integers too
+    if num < 0:
+        raise ValueError("negative numerator")
+    low, low_exp = lowest_terms(num, exp)
+    return low_exp, int_text(low), decimal_text(num, exp, digits)
 
 
 def _fmt(x: float, digits: int) -> str:
@@ -148,8 +153,8 @@ def report_from_average(
     digits: int = 6,
 ) -> SpectrumReport:
     """Report for the exact recursion output, one entry per weight."""
-    entries = [{"d": d, **_exact(x, spec.exp, digits)} for d, x in enumerate(spec.nums, start=1)]
-    return SpectrumReport(_code_block(config, construction), "recursion", entries)
+    rows = tuple((d, *_exact(x, spec.exp, digits)) for d, x in enumerate(spec.nums, start=1))
+    return SpectrumReport(_code_block(config, construction), "recursion", _EXACT, rows)
 
 
 def report_from_histogram(
@@ -171,22 +176,22 @@ def report_from_histogram(
         raise ValueError(f"exact {hist.source} histogram needs a power-of-two samples >= 1, "
                          f"got {hist.samples}")
     exp = hist.samples.bit_length() - 1
-    entries = []
-    for d, c in enumerate(hist.counts):
-        e: dict = {"d": d}
-        if exact:
-            e.update(_exact(c, exp, digits))
-        else:
-            e["value"] = _fmt(c, digits)
-            e["variance"] = _fmt(hist.variance[d], digits)
-            e["samples"] = hist.samples
-        if hist.saturated is not None:
-            e["saturated"] = bool(hist.saturated[d])
-        entries.append(e)
+    if exact:
+        columns = _EXACT
+        rows = [(d, *_exact(c, exp, digits)) for d, c in enumerate(hist.counts)]
+    else:
+        columns = _MONTE_CARLO
+        rows = [(d, hist.samples, _fmt(c, digits), _fmt(hist.variance[d], digits))
+                for d, c in enumerate(hist.counts)]
+    if hist.saturated is not None:
+        at = columns.index("value")
+        columns = (*columns[:at], "saturated", *columns[at:])
+        rows = [(*r[:at], bool(hist.saturated[d]), *r[at:]) for d, r in enumerate(rows)]
     return SpectrumReport(
         _code_block(config, construction),
         hist.source,
-        entries,
+        columns,
+        tuple(rows),
         transform=transform,
         samples=None if exact else hist.samples,
         seed=hist.seed,

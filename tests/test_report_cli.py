@@ -1,5 +1,7 @@
 import csv
 import decimal
+import hashlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import subprocess
 import sys
 from collections import OrderedDict
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +79,9 @@ class TestReportObjects:
         hist = exact_spectrum(cfg, identity_transform(cfg))
         as_numpy = replace(hist, counts=tuple(np.array(hist.counts, dtype=np.int64)))
         assert report_from_histogram(cfg, "pw", as_numpy) == report_from_histogram(cfg, "pw", hist)
+        spec = avg_spectrum(cfg)
+        as_numpy = replace(spec, nums=tuple(np.array(spec.nums, dtype=np.int64)))
+        assert report_from_average(cfg, "pw", as_numpy) == report_from_average(cfg, "pw", spec)
 
     def test_exact_histogram_renders_counts_over_samples(self):
         cfg = CodeConfig(1, (1, 2))
@@ -109,6 +115,13 @@ class TestReportObjects:
         with pytest.raises(ValueError, match="digits"):
             report_from_average(cfg, "pw", avg_spectrum(cfg), -1)
 
+    def test_negative_counts_raise(self):
+        cfg = construct_pw(8, 4)
+        with pytest.raises(ValueError, match="negative numerator"):
+            report_from_histogram(cfg, "pw", WeightHistogram("brute", (1, -2)))
+        with pytest.raises(ValueError, match="negative numerator"):
+            report_from_average(cfg, "pw", AverageSpectrum(cfg, 3, (8, -1)))
+
     def test_histogram_report_scl_saturation(self):
         cfg = construct_pw(16, 8)
         hist = collect_low_weight(cfg, identity_transform(cfg), 4)
@@ -139,6 +152,17 @@ class TestReportObjects:
         assert len(lines) == 1 + 9  # header + d = 0..8
         assert lines[1] == "0,1.000000,1,0,,,"
 
+    def test_editing_entries_leaves_the_report_unchanged(self):
+        cfg = construct_pw(16, 8)
+        hist = collect_low_weight(cfg, identity_transform(cfg), 4)
+        rep = report_from_histogram(cfg, "pw", hist, list_size=4)
+        text, table = rep.to_json(), rep.to_csv()
+        rep.entries[3]["num"] = "99"
+        rep.entries[4]["saturated"] = not rep.entries[4]["saturated"]
+        rep.entries.append({"d": 17, "num": "1", "exp2": 0, "value": "1.000000"})
+        assert rep.to_json() == text
+        assert rep.to_csv() == table
+
 
 def assert_same_text(got: str, want: str) -> None:
     """Exact string equality that fails in seconds: pytest's diff of two
@@ -162,52 +186,91 @@ _SCALAR = st.one_of(
     st.none(), st.booleans(), st.integers(-(1 << 70), 1 << 70), _TRICKY,
     st.floats(allow_nan=False, allow_infinity=False),
 )
-_ENTRY = st.dictionaries(st.sampled_from(["d", "num", "exp2", "value", "variance", "samples",
-                                          "saturated"]), _SCALAR)
-_REPORT = st.builds(
-    SpectrumReport,
-    code=st.fixed_dictionaries({
-        "n": st.integers(0, 1 << 20), "k": st.integers(0, 1 << 20),
-        "construction": _TRICKY, "info_set": st.lists(st.integers(1, 1 << 20), max_size=6),
-    }),
-    method=_TRICKY,
-    entries=st.lists(_ENTRY, max_size=6),
-    transform=st.none() | st.dictionaries(_TRICKY, st.one_of(
-        _TRICKY, st.integers(), st.lists(st.integers(), max_size=3).map(tuple),
-        st.builds(OrderedDict, st.dictionaries(_TRICKY, _SCALAR, max_size=2)),
-        st.lists(st.dictionaries(_TRICKY, _SCALAR, max_size=3), min_size=1, max_size=3),
-    ), max_size=4),
-    samples=st.none() | st.integers(0, 1000),
-    seed=st.none() | st.integers(0, 1 << 64),
-    list_size=st.none() | st.integers(1, 5000),
-)
+_TRANSFORM = st.none() | st.dictionaries(_TRICKY, st.one_of(
+    _TRICKY, st.integers(), st.lists(st.integers(), max_size=3).map(tuple),
+    st.builds(OrderedDict, st.dictionaries(_TRICKY, _SCALAR, max_size=2)),
+    st.lists(st.dictionaries(_TRICKY, _SCALAR, max_size=3), min_size=1, max_size=3),
+), max_size=4)
+_CONFIG = st.integers(1, 5).flatmap(lambda m: st.sets(st.integers(1, 1 << m), min_size=1).map(
+    lambda s: CodeConfig(m, tuple(sorted(s)))))
+_BIG = 2 * 3**10000 + 1  # 4772 digits, past str()'s default limit of 4300
+_NUMS = st.lists(st.integers(0, 1 << 70) | st.sampled_from([0, 1, 3, _BIG]), min_size=1, max_size=6)
+_MEANS = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e20, max_value=1e20)
+_SOURCES = ("recursion", "brute", "exhaustive-ensemble", "scl", "monte-carlo")
 
 
-@given(_REPORT)
-@example(SpectrumReport(
-    code={"n": 8, "k": 0, "construction": 'a,\n  "b": {é}\\', "info_set": []},
-    method="", entries=[],
+@st.composite
+def _reports(draw) -> SpectrumReport:
+    """A report of any shape, built the way the CLI builds it."""
+    config, construction, digits = draw(_CONFIG), draw(_TRICKY), draw(st.integers(0, 9))
+    source, nums = draw(st.sampled_from(_SOURCES)), tuple(draw(_NUMS))
+    if source == "recursion":
+        spec = AverageSpectrum(config, draw(st.integers(0, 80)), nums)
+        return report_from_average(config, construction, spec, digits)
+    flags = st.lists(st.booleans(), min_size=len(nums), max_size=len(nums)).map(tuple)
+    if source == "monte-carlo":
+        hist = WeightHistogram(
+            source, tuple(draw(_MEANS) for _ in nums), samples=draw(st.integers(1, 1000)),
+            seed=draw(st.none() | st.integers(0, 1 << 64)),
+            variance=tuple(draw(_MEANS) for _ in nums), saturated=draw(st.none() | flags),
+        )
+    else:
+        samples = 1 << draw(st.integers(0, 40)) if source == "exhaustive-ensemble" else 1
+        hist = WeightHistogram(source, nums, samples=samples,
+                               saturated=draw(flags) if source == "scl" else None)
+    return report_from_histogram(config, construction, hist, digits, transform=draw(_TRANSFORM),
+                                 list_size=draw(st.none() | st.integers(1, 5000)))
+
+
+def _csv_of(entries: list[dict]) -> str:
+    """CSV_COLUMNS over the entries, an absent key empty and a bool in
+    json's spelling; value_decimal is the entry's value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for e in entries:
+        cells = (e.get("value" if col == "value_decimal" else col, "") for col in CSV_COLUMNS)
+        writer.writerow(str(c).lower() if isinstance(c, bool) else c for c in cells)
+    return buf.getvalue()
+
+
+_PW = construct_pw(8, 4)
+
+
+@given(_reports())
+@example(report_from_histogram(
+    CodeConfig(3, (8,)), 'a,\n  "b": {é}\\', WeightHistogram("brute", (1, 0)),
     transform={"kind": "pac", "poly": '\n},\n  {"漢"', "": "[]", "k_outer": 3},
 ))
-@example(SpectrumReport(code={}, method="x", entries=[{}, {"d": 1}, {}]))
 # past ~50000 items json's C encoder hands back several chunks
-@example(SpectrumReport(code={"info_set": list(range(1, 70_002))}, method="x"))
-# the item boundary the one-call entries encoding rewrites, inside strings
-@example(SpectrumReport(code={}, method="},\n      {", entries=[
-    {"d": 1, "value": "},\n      {"}, {"value": '"},\n      {"d": 2'}, {"num": "},\n    {"}]))
-# flat dicts next to {} or a nested value take the per-item path
-@example(SpectrumReport(code={}, method="x", entries=[{"d": 1}, {"d": [2]}, {"d": {"e": 3}}],
-                        transform={"t": [{"a": 1}, {}, {"b": 2}]}))
+@example(report_from_average(CodeConfig(17, tuple(range(1, 70_002))), "x",
+                             AverageSpectrum(_PW, 0, (1,))))
+@example(report_from_histogram(_PW, "x", WeightHistogram("scl", (1, 2), saturated=(0, 1)), 0,
+                               transform={"t": [{"a": 1}, {}, {"b": 2}]}))
+@example(report_from_average(_PW, "pw", AverageSpectrum(_PW, 7, (_BIG, 0, 5 << 6)), 9))
 def test_to_json_matches_json_dumps(rep):
     assert_same_text(rep.to_json(), json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n")
+    assert rep.to_csv() == _csv_of(rep.to_dict()["entries"])
 
 
 def test_to_json_matches_json_dumps_past_the_chunk_size():
-    # the entries go to json's C encoder in one call, which hands back
-    # several chunks past ~50000 items; json.dumps with an indent takes
-    # ~0.4 s here, past hypothesis's deadline, so this is not an @example
-    rep = SpectrumReport(code={}, method="x", entries=[{"d": d, "num": "1"} for d in range(50_001)])
+    # a long report: json.dumps with an indent takes ~0.4 s here, past
+    # hypothesis's deadline, so this is not an @example
+    rep = report_from_average(_PW, "x", AverageSpectrum(_PW, 1, tuple(range(50_001))))
     assert_same_text(rep.to_json(), json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n")
+
+
+@given(_NUMS, st.integers(0, 80), st.integers(0, 9))
+@example([1, 3, 5, 2], 1, 0)  # 0.5, 1.5, 2.5: ties, rounded to even; 2/2 is 1/1
+@example([1, 3], 3, 1)  # 0.125 and 0.375: ties at one digit
+def test_exact_entries_are_lowest_terms_rounded_half_even(nums, exp, digits):
+    rep = report_from_average(_PW, "pw", AverageSpectrum(_PW, exp, tuple(nums)), digits)
+    for e, num in zip(rep.entries, nums):
+        value = Fraction(num, 1 << exp)
+        assert (int(decimal.Decimal(e["num"])), 1 << e["exp2"]) == value.as_integer_ratio()
+        # round() of a Fraction rounds half to even
+        scaled = str(decimal.Decimal(round(value * 10**digits))).rjust(digits + 1, "0")
+        assert e["value"] == (f"{scaled[:-digits]}.{scaled[-digits:]}" if digits else scaled)
 
 
 class TestNumeratorsPastTheDigitLimit:
@@ -281,6 +344,59 @@ class TestGoldenFiles:
         )
         assert rc == 0
         assert out == (GOLDEN / "ensemble_pw8_4.json").read_text()
+
+    @pytest.mark.parametrize("golden, argv", [
+        ("avg_pw64_16.csv", "avg-spectrum --n 64 --k 16 --construction pw --round 9 --format csv"),
+        ("exact_pw16_8_brute.json",
+         "exact-spectrum --n 16 --k 8 --construction pw --transform random:3"),
+        ("exact_pw32_12_scl128.json",
+         "exact-spectrum --n 32 --k 12 --construction pw --transform random:3 --method scl:128"),
+        ("ensemble_pw32_12.csv",
+         "ensemble --n 32 --k 12 --construction pw --samples 3 --seed 1 --format csv"),
+        ("ensemble_pw32_12_scl128.json",
+         "ensemble --n 32 --k 12 --construction pw --samples 3 --seed 2 --method scl:128"),
+    ])
+    def test_every_report_shape(self, capsys, golden, argv):
+        rc, out, _ = run(capsys, *argv.split())
+        assert rc == 0
+        assert out == (GOLDEN / golden).read_text()
+
+
+# sha256 prefixes of full avg-spectrum reports of (construction, format,
+# --round) at N = 1024, K = 512
+FULL_REPORT_DIGESTS = {
+    ("rm", "json", 0): "821b667e751c321e",
+    ("rm", "json", 6): "3aeadbb4cd6884d0",
+    ("rm", "json", 9): "fdef39aceba08da5",
+    ("rm", "csv", 0): "c8d442831c722c26",
+    ("rm", "csv", 6): "50a05e75033cd5d3",
+    ("rm", "csv", 9): "3ecb4bbbe5e3463a",
+    ("pw", "json", 0): "a7aeda9f292aa29f",
+    ("pw", "json", 6): "07ad5916b3040374",
+    ("pw", "json", 9): "aadf41efce74a325",
+    ("pw", "csv", 0): "04cbd834694e031f",
+    ("pw", "csv", 6): "067144845818780f",
+    ("pw", "csv", 9): "44ceffafbdd63079",
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("construction, fmt, digits", sorted(FULL_REPORT_DIGESTS))
+def test_full_report_bytes(capsys, construction, fmt, digits):
+    rc, out, _ = run(capsys, "avg-spectrum", "--n", "1024", "--k", "512", "--construction",
+                     construction, "--round", str(digits), "--format", fmt)
+    assert rc == 0
+    assert _digest(out) == FULL_REPORT_DIGESTS[construction, fmt, digits]
+
+
+def test_exhaustive_report_bytes():
+    # the benchmark's exhaustive-ensemble job: N = 16, F = 16, F_red = 6
+    cfg = CodeConfig(4, (7, 12, 14, 15, 16))
+    text = report_from_histogram(cfg, "exhaustive", ensemble_average_exact(cfg)).to_json()
+    assert _digest(text) == "0293bf0a9eaae06d"
 
 
 class TestAvgSpectrumCommand:
