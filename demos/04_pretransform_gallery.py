@@ -42,4 +42,4 @@ exact = avg_spectrum(wide, d_max=8)[8]
 print(f"exact  E[N_8] = {exact.decimal(6)}   (N=32 K=12)")
 for samples in (10, 100, 1000):
     mc = ensemble_average_mc(wide, master_seed=1, samples=samples)
-    print(f"{samples:>5} samples: {mc.counts[8]:.4f}")
+    print(f"{samples:>5} samples: {mc.counts[8] / mc.samples:.4f}")

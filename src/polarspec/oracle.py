@@ -35,6 +35,11 @@ weight N - w(c), so the walk enumerates only the span of the other K-1
 rows, with histogram h, and A_d = h_d + h_(N-d). Without row N every
 codeword is enumerated.
 
+Every route returns a WeightHistogram of integer totals over its sample
+count, so each value is counts[d] / samples: exact for the enumerations,
+a mean for Monte Carlo, which adds each weight's sum of squares so that
+the report can render the unbiased variance from the integers.
+
 Nothing in this module uses the recursion engine; agreement between the
 two is the decisive cross-validation and is enforced by the test suite.
 """
@@ -86,24 +91,41 @@ def _check_budget(k: int, free: int = 0) -> None:
 
 @dataclass(frozen=True, slots=True)
 class WeightHistogram:
-    """Per-weight tallies indexed d = 0..N (N = len(counts) - 1), plus
-    provenance metadata.
+    """Per-weight integer totals over `samples` codes, indexed d = 0..N
+    (N = len(counts) - 1), plus provenance metadata.
 
-    For the exact sources counts holds integer totals over `samples`
-    codes, a power of two: 1 for "brute" and "scl", 2^F_red for
-    "exhaustive-ensemble" (every reduced transform once), so the value
-    at d is counts[d] / samples exactly. "monte-carlo" holds float
-    sample means instead, and per-weight sample variance. saturated[d],
+    Every source's value at d is counts[d] / samples. The exact sources
+    count a power of two of codes: 1 for "brute" and "scl", 2^F_red for
+    "exhaustive-ensemble" (every reduced transform once), so their value
+    is exact. "monte-carlo" counts its random transforms and adds
+    squares[d], each weight's sum of squared per-sample counts, from
+    which the report renders the mean and unbiased variance. saturated[d],
     when present, marks weights whose value is only a lower bound (list
     pruning may have discarded codewords there).
+
+    Construction checks the shape: samples >= 1, a power of two for every
+    source but "monte-carlo", squares set exactly for "monte-carlo", and
+    squares and saturated as long as counts.
     """
 
     source: str
     counts: tuple
     samples: int = 1
     seed: int | None = None
-    variance: tuple | None = None
+    squares: tuple | None = None
     saturated: tuple | None = None
+
+    def __post_init__(self):
+        exact = self.source != "monte-carlo"
+        if self.samples < 1 or exact and self.samples & (self.samples - 1):
+            need = "a power-of-two samples" if exact else "samples"
+            raise ValueError(f"{self.source} histogram needs {need} >= 1, got {self.samples}")
+        if (self.squares is None) != exact:
+            raise ValueError("squares belong to monte-carlo histograms, and those need them")
+        for name in ("squares", "saturated"):
+            column = getattr(self, name)
+            if column is not None and len(column) != len(self.counts):
+                raise ValueError(f"{len(column)} {name} for {len(self.counts)} counts")
 
     def nonzero(self) -> dict:
         return {d: c for d, c in enumerate(self.counts) if c}
@@ -255,25 +277,6 @@ def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
                            samples=1 << f_red)
 
 
-def _sample_moments(samples: list[tuple]) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-weight sample means and unbiased sample variances of integer counts.
-
-    With s samples, sum T and sum of squares Q at a weight, the variance is
-    (s*Q - T^2) / (s*(s - 1)): exact integers, rounded once to a float, so
-    there is no cancellation. A single sample has variance 0.0.
-    """
-    s = len(samples)
-    totals = [sum(col) for col in zip(*samples)]
-    means = tuple(t / s for t in totals)
-    if s == 1:
-        return means, tuple(0.0 for _ in totals)
-    squares = [sum(c * c for c in col) for col in zip(*samples)]
-    variance = tuple(
-        (s * q - t * t) / (s * (s - 1)) for q, t in zip(squares, totals)
-    )
-    return means, variance
-
-
 def ensemble_average_mc(
     config: CodeConfig,
     master_seed: int,
@@ -288,9 +291,10 @@ def ensemble_average_mc(
     exactly by brute force; with an int list_size >= 1 the low-weight
     collector of that list size measures it and its saturation flags
     propagate.
+
+    The histogram holds each weight's total and sum of squares over the
+    samples, as exact integers.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     if list_size is not None:
         if list_size < 1:
             raise ValueError(f"list_size must be >= 1, got {list_size}")
@@ -307,15 +311,14 @@ def ensemble_average_mc(
         return collect_low_weight(config, t, list_size)
 
     results = [one(s) for s in seeds]
-
-    means, variance = _sample_moments([hist.counts for hist in results])
+    columns = list(zip(*(hist.counts for hist in results)))
     # a weight is saturated when any sample's list was pruned there
     sat = None if list_size is None else tuple(map(any, zip(*(h.saturated for h in results))))
     return WeightHistogram(
         "monte-carlo",
-        means,
+        tuple(map(sum, columns)),
         samples=samples,
         seed=master_seed,
-        variance=variance,
+        squares=tuple(sum(c * c for c in col) for col in columns),
         saturated=sat,
     )

@@ -7,11 +7,13 @@ never as floats; decimal renderings are strings produced by the exact
 dyadic rounding.
 
 A report keeps its entries as rows of scalars under one tuple of column
-names, built straight from the integers. Exact entries have the columns
-(d, exp2, num, value), Monte-Carlo entries (d, samples, value,
-variance), and saturation flags add "saturated" just before "value":
-the sorted key order, so each row is written through one template for
-its shape.
+names, built straight from the integers. Every histogram's value is
+counts[d] / samples. Exact entries have the columns (d, exp2, num,
+value); Monte-Carlo entries (d, samples, value, variance) render the
+mean and the unbiased variance from the histogram's integer totals and
+squares. Saturation flags add "saturated" just before "value": the
+sorted key order, so each row is written through one template for its
+shape.
 """
 
 from __future__ import annotations
@@ -167,22 +169,24 @@ def report_from_histogram(
 ) -> SpectrumReport:
     """Report for an enumerated or sampled histogram.
 
-    Exact sources carry the num/exp2 pair of counts[d] / samples, which
-    needs samples to be a power of two; Monte-Carlo means carry decimal
-    value, variance and the sample count instead.
+    Every value is counts[d] / samples. Exact sources carry its num/exp2
+    pair (WeightHistogram checks that samples is a power of two);
+    Monte-Carlo entries carry the decimal mean t/s, the unbiased variance
+    (s*q - t*t) / (s*(s - 1)) of the total t and sum of squares q, 0.0
+    when s = 1, and the sample count s instead: exact integers, each
+    rounded once to a float.
     """
+    s = hist.samples
     exact = hist.source != "monte-carlo"
-    if exact and (hist.samples < 1 or hist.samples & (hist.samples - 1)):
-        raise ValueError(f"exact {hist.source} histogram needs a power-of-two samples >= 1, "
-                         f"got {hist.samples}")
-    exp = hist.samples.bit_length() - 1
     if exact:
         columns = _EXACT
+        exp = s.bit_length() - 1
         rows = [(d, *_exact(c, exp, digits)) for d, c in enumerate(hist.counts)]
     else:
         columns = _MONTE_CARLO
-        rows = [(d, hist.samples, _fmt(c, digits), _fmt(hist.variance[d], digits))
-                for d, c in enumerate(hist.counts)]
+        div = s * (s - 1)
+        rows = [(d, s, _fmt(t / s, digits), _fmt((s * q - t * t) / div if div else 0.0, digits))
+                for d, (t, q) in enumerate(zip(hist.counts, hist.squares))]
     if hist.saturated is not None:
         at = columns.index("value")
         columns = (*columns[:at], "saturated", *columns[at:])
@@ -193,7 +197,7 @@ def report_from_histogram(
         columns,
         tuple(rows),
         transform=transform,
-        samples=None if exact else hist.samples,
+        samples=None if exact else s,
         seed=hist.seed,
         list_size=list_size,
     )

@@ -17,7 +17,6 @@ from polarspec.oracle import (
     BudgetError,
     WeightHistogram,
     _hist_of_block,
-    _sample_moments,
     ensemble_average_exact,
     ensemble_average_mc,
     exact_spectrum,
@@ -33,6 +32,7 @@ from polarspec.pretransform import (
     random_transform,
     transform_from_bits,
 )
+from polarspec.report import report_from_histogram
 from polarspec.scl import collect_low_weight
 from polarspec.spectrum import avg_spectrum
 
@@ -499,22 +499,26 @@ class TestEnsembleAverageMC:
 
     @pytest.mark.parametrize("list_size", [None, 3])
     def test_result_is_the_moments_of_its_samples(self, list_size):
-        # one measurement per derived seed, folded by _sample_moments; at
-        # list size 3 the collector prunes from d=3 in one sample and from
-        # d=4 in the others, so the saturation fold is an OR over samples
+        # one measurement per derived seed, summed and summed in squares as
+        # ints; at list size 3 the collector prunes from d=3 in one sample
+        # and from d=4 in the others, so the saturation fold is an OR over
+        # samples
         cfg = CodeConfig(4, (1, 4, 9, 12, 14))
         hists = [
             exact_spectrum(cfg, t) if list_size is None else collect_low_weight(cfg, t, list_size)
             for t in (random_transform(cfg, x) for x in derive_seeds(21, 4))
         ]
-        means, variance = _sample_moments([h.counts for h in hists])
+        totals = tuple(sum(h.counts[d] for h in hists) for d in range(cfg.n + 1))
+        squares = tuple(sum(h.counts[d] ** 2 for h in hists) for d in range(cfg.n + 1))
         sat = None
         if list_size is not None:
             sat = tuple(any(h.saturated[d] for h in hists) for d in range(cfg.n + 1))
             assert sat != hists[-1].saturated and sat.index(True) == 3
-        assert ensemble_average_mc(cfg, 21, 4, list_size=list_size) == WeightHistogram(
-            "monte-carlo", means, samples=4, seed=21, variance=variance, saturated=sat
+        mc = ensemble_average_mc(cfg, 21, 4, list_size=list_size)
+        assert mc == WeightHistogram(
+            "monte-carlo", totals, samples=4, seed=21, squares=squares, saturated=sat
         )
+        assert all(type(x) is int for x in (*mc.counts, *mc.squares))
 
     def test_source_fields(self):
         cfg = construct_pw(8, 4)
@@ -522,26 +526,29 @@ class TestEnsembleAverageMC:
         assert h.source == "monte-carlo"
         assert h.samples == 5 and h.seed == 3
         assert h.saturated is None
-        assert len(h.variance) == cfg.n + 1
-        assert h.counts[0] == 1.0 and h.variance[0] == 0.0
+        assert len(h.squares) == cfg.n + 1
+        assert h.counts[0] == 5 and h.squares[0] == 5  # the zero word, once per sample
 
     def test_single_sample_variance_is_zero(self):
         cfg = construct_pw(8, 4)
         h = ensemble_average_mc(cfg, 3, samples=1)
-        assert all(v == 0.0 for v in h.variance)
+        assert h.squares == tuple(c * c for c in h.counts)
+        assert all(float(e["variance"]) == 0.0 for e in report_from_histogram(cfg, "pw", h).entries)
 
     def test_estimates_exact_average(self):
         # seed-pinned: z-scores are deterministic for this seed
         cfg = CodeConfig(3, (4, 6, 7, 8))
         exact = ensemble_average_exact(cfg)
         mc = ensemble_average_mc(cfg, 2024, samples=400)
-        for d in range(cfg.n + 1):
+        s = mc.samples
+        for d, (t, q) in enumerate(zip(mc.counts, mc.squares)):
             tf = exact.counts[d] / exact.samples
-            if mc.variance[d] == 0.0:
-                assert mc.counts[d] == tf
+            variance = (s * q - t * t) / (s * (s - 1))
+            if variance == 0.0:
+                assert t / s == tf
                 continue
-            se = math.sqrt(mc.variance[d] / mc.samples)
-            assert abs(mc.counts[d] - tf) <= 6 * se, d
+            se = math.sqrt(variance / s)
+            assert abs(t / s - tf) <= 6 * se, d
 
     def test_scl_with_full_list_matches_brute(self):
         cfg = construct_pw(16, 5)
@@ -561,27 +568,53 @@ class TestEnsembleAverageMC:
 
 
 class TestSampleMoments:
+    # the report renders a Monte-Carlo histogram's mean t/s and unbiased
+    # variance from its integer totals t and squares q; at 40 digits two
+    # floats of these sizes render alike only if they are equal
+    @staticmethod
+    def moments(samples: list[tuple]) -> list[tuple[str, str]]:
+        columns = list(zip(*samples))
+        hist = WeightHistogram(
+            "monte-carlo", tuple(map(sum, columns)), samples=len(samples),
+            squares=tuple(sum(c * c for c in col) for col in columns),
+        )
+        rep = report_from_histogram(construct_pw(8, 4), "pw", hist, 40)
+        return [(e["value"], e["variance"]) for e in rep.entries]
+
     def test_identical_samples_have_zero_variance(self):
         big = (1 << 22) + 12345
-        means, variance = _sample_moments([(0, 7, big, 3)] * 9)
-        assert means == (0.0, 7.0, float(big), 3.0)
-        assert variance == (0.0, 0.0, 0.0, 0.0)
+        assert self.moments([(0, 7, big, 3)] * 9) == [
+            (f"{m:.40f}", f"{0.0:.40f}") for m in (0.0, 7.0, float(big), 3.0)]
 
     def test_near_2_22_matches_exact_fraction(self):
         base = 1 << 22
         samples = [(base, base + 1, 5), (base + 1, base + 1, 6), (base, base, 5)]
-        means, variance = _sample_moments(samples)
+        moments = self.moments(samples)
         s = len(samples)
         for d, col in enumerate(zip(*samples)):
             mean = Fraction(sum(col), s)
             var = sum((Fraction(c) - mean) ** 2 for c in col) / (s - 1)
-            assert means[d] == float(mean)
-            assert variance[d] == float(var)
+            assert moments[d] == (f"{float(mean):.40f}", f"{float(var):.40f}")
 
     def test_single_sample(self):
-        assert _sample_moments([(1, 2)]) == ((1.0, 2.0), (0.0, 0.0))
+        assert self.moments([(1, 2)]) == [(f"{m:.40f}", f"{0.0:.40f}") for m in (1.0, 2.0)]
 
 
 def test_weight_histogram_nonzero():
     h = WeightHistogram("brute", (1, 0, 3, 0, 0))
     assert h.nonzero() == {0: 1, 2: 3}
+
+
+@pytest.mark.parametrize("source,fields,message", [
+    ("scl", {"saturated": (False,) * 2}, "2 saturated for 3 counts"),
+    ("scl", {"saturated": (False,) * 5}, "5 saturated for 3 counts"),
+    ("monte-carlo", {"squares": (0, 4)}, "2 squares for 3 counts"),
+    ("monte-carlo", {"squares": (0, 4, 0), "samples": 0}, "monte-carlo histogram needs samples >= 1, got 0"),
+    ("exhaustive-ensemble", {"samples": 3}, "power-of-two samples >= 1, got 3"),
+    ("brute", {"squares": (0, 4, 0)}, "squares belong to monte-carlo"),
+    ("monte-carlo", {}, "squares belong to monte-carlo"),
+])
+def test_weight_histogram_checks_its_shape(source, fields, message):
+    # a mismatched histogram is refused when it is built, not when rendered
+    with pytest.raises(ValueError, match=message):
+        WeightHistogram(source, (0, 2, 0), **fields)

@@ -80,6 +80,22 @@ class TestPreTransform:
         with pytest.raises(ValueError):
             PreTransform(n, rows)
 
+    def test_rows_cannot_be_assigned(self):
+        # T_{8,1} sits left of the diagonal: written in, it would hand the
+        # routes a transform its checks refuse
+        t = identity_transform(construct_pw(8, 4))
+        with pytest.raises(TypeError):
+            t.rows[8] = 1
+        assert t.rows[8] == 0
+
+    def test_rows_are_a_copy_of_the_given_dict(self):
+        cfg = construct_pw(8, 4)
+        rows = dict.fromkeys(cfg.info_set, 0)
+        t = PreTransform(cfg.n, rows)
+        rows[8] = 1
+        assert t.rows == dict.fromkeys(cfg.info_set, 0)
+        assert t == identity_transform(cfg)
+
 
 def test_free_entry_count():
     assert free_entry_count(CodeConfig(2, (1, 2, 3, 4))) == 3 + 2 + 1 + 0

@@ -89,9 +89,8 @@ class TestReportObjects:
         assert [(e["num"], e["exp2"], e["value"]) for e in rep.entries] == [
             ("1", 2, "0.250000"), ("1", 1, "0.500000"), ("1", 2, "0.250000")]
         for samples in (0, -4, 3, 6):
-            hist = WeightHistogram("exhaustive-ensemble", (1, 2, 1), samples=samples)
             with pytest.raises(ValueError, match=f"power-of-two samples >= 1, got {samples}"):
-                report_from_histogram(cfg, "pw", hist)
+                WeightHistogram("exhaustive-ensemble", (1, 2, 1), samples=samples)
 
     def test_histogram_report_mc(self):
         cfg = construct_pw(8, 4)
@@ -195,7 +194,7 @@ _CONFIG = st.integers(1, 5).flatmap(lambda m: st.sets(st.integers(1, 1 << m), mi
     lambda s: CodeConfig(m, tuple(sorted(s)))))
 _BIG = 2 * 3**10000 + 1  # 4772 digits, past str()'s default limit of 4300
 _NUMS = st.lists(st.integers(0, 1 << 70) | st.sampled_from([0, 1, 3, _BIG]), min_size=1, max_size=6)
-_MEANS = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e20, max_value=1e20)
+_SAMPLE_COUNT = st.integers(0, 1 << 70) | st.sampled_from([0, 1, 3])
 _SOURCES = ("recursion", "brute", "exhaustive-ensemble", "scl", "monte-carlo")
 
 
@@ -209,10 +208,14 @@ def _reports(draw) -> SpectrumReport:
         return report_from_average(config, construction, spec, digits)
     flags = st.lists(st.booleans(), min_size=len(nums), max_size=len(nums)).map(tuple)
     if source == "monte-carlo":
+        # per-sample counts, summed as ensemble_average_mc sums them
+        sample = st.lists(_SAMPLE_COUNT, min_size=len(nums), max_size=len(nums))
+        columns = list(zip(*draw(st.lists(sample, min_size=1, max_size=20))))
         hist = WeightHistogram(
-            source, tuple(draw(_MEANS) for _ in nums), samples=draw(st.integers(1, 1000)),
+            source, tuple(map(sum, columns)), samples=len(columns[0]),
             seed=draw(st.none() | st.integers(0, 1 << 64)),
-            variance=tuple(draw(_MEANS) for _ in nums), saturated=draw(st.none() | flags),
+            squares=tuple(sum(c * c for c in col) for col in columns),
+            saturated=draw(st.none() | flags),
         )
     else:
         samples = 1 << draw(st.integers(0, 40)) if source == "exhaustive-ensemble" else 1
