@@ -1,12 +1,13 @@
-"""Code lines per src/polarspec module: lines holding code, not counting
-blank lines, comments or docstrings. Run from the repository root:
+"""Code lines per src/polarspec module, then per test file in tests/:
+lines holding code, not counting blank lines, comments or docstrings.
+Run from the repository root:
 
     python ci/code_lines.py
 
-Prints one "count  module" line per module, then the total. A docstring
-is a string literal that stands alone as the first statement of a
-module, class or function; any other string counts on every line it
-spans.
+Prints two blocks, the package's and the tests', each one "count  file"
+line per file and then its total. A docstring is a string literal that
+stands alone as the first statement of a module, class or function; any
+other string counts on every line it spans.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polarspec"
+ROOT = Path(__file__).resolve().parent.parent
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -42,12 +43,15 @@ def code_lines(source: str) -> int:
 
 
 def main() -> int:
-    total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:5d}  {path.name}")
-    print(f"{total:5d}  total")
+    for block, folder in enumerate(("src/polarspec", "tests")):
+        if block:
+            print()
+        total = 0
+        for path in sorted((ROOT / folder).glob("*.py")):
+            count = code_lines(path.read_text(encoding="utf-8"))
+            total += count
+            print(f"{count:5d}  {folder}/{path.name}")
+        print(f"{total:5d}  {folder} total")
     return 0
 
 

@@ -37,8 +37,11 @@ codeword is enumerated.
 
 Every route returns a WeightHistogram of integer totals over its sample
 count, so each value is counts[d] / samples: exact for the enumerations,
-a mean for Monte Carlo, which adds each weight's sum of squares so that
-the report can render the unbiased variance from the integers.
+a mean for Monte Carlo, which folds each sample into running totals and
+sums of squares as soon as it is measured, so that the report can render
+the unbiased variance from the integers. A histogram stores tuples of
+the Python ints it checked: no count is negative, and for Monte Carlo
+s·q >= t² at every weight (Cauchy–Schwarz), so no variance is negative.
 
 Nothing in this module uses the recursion engine; agreement between the
 two is the decisive cross-validation and is enforced by the test suite.
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import add, index, mul, or_
 
 import numpy as np
 
@@ -103,9 +107,14 @@ class WeightHistogram:
     when present, marks weights whose value is only a lower bound (list
     pruning may have discarded codewords there).
 
-    Construction checks the shape: samples >= 1, a power of two for every
-    source but "monte-carlo", squares set exactly for "monte-carlo", and
-    squares and saturated as long as counts.
+    Construction stores counts and squares as tuples of Python ints
+    (operator.index: numpy integers too, floats refused) and saturated as
+    a tuple of bools, never the caller's sequences, and then checks them:
+    samples >= 1, a power of two for every source but "monte-carlo",
+    squares set exactly for "monte-carlo", squares and saturated as long
+    as counts, no negative count, and for "monte-carlo" samples·q >= t²
+    at every weight (t = counts[d], q = squares[d]; Cauchy–Schwarz), so
+    the rendered variance is never negative.
     """
 
     source: str
@@ -116,6 +125,10 @@ class WeightHistogram:
     saturated: tuple | None = None
 
     def __post_init__(self):
+        # tuples of the checked values, not the caller's sequences
+        for name, cast in (("counts", index), ("squares", index), ("saturated", bool)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(map(cast, getattr(self, name))))
         exact = self.source != "monte-carlo"
         if self.samples < 1 or exact and self.samples & (self.samples - 1):
             need = "a power-of-two samples" if exact else "samples"
@@ -126,6 +139,10 @@ class WeightHistogram:
             column = getattr(self, name)
             if column is not None and len(column) != len(self.counts):
                 raise ValueError(f"{len(column)} {name} for {len(self.counts)} counts")
+        if min(self.counts, default=0) < 0:
+            raise ValueError("negative numerator in counts")
+        if not exact and any(self.samples * q < t * t for t, q in zip(self.counts, self.squares)):
+            raise ValueError("monte-carlo histogram needs samples * squares[d] >= counts[d]^2")
 
     def nonzero(self) -> dict:
         return {d: c for d, c in enumerate(self.counts) if c}
@@ -242,7 +259,7 @@ def exact_spectrum(config: CodeConfig, transform: PreTransform) -> WeightHistogr
     """
     _check_budget(config.k)
     counts = _walk(generator_rows(config, transform), config.n)
-    return WeightHistogram("brute", tuple(int(c) for c in counts))
+    return WeightHistogram("brute", counts)
 
 
 def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
@@ -273,8 +290,7 @@ def ensemble_average_exact(config: CodeConfig) -> WeightHistogram:
     _check_budget(k, f_red)
     entries = [(pos, row_bits(config.m, j)) for pos, i in enumerate(info) for j in frozen if j > i]
     counts = _walk(generator_rows(config, identity_transform(config)), n, entries)
-    return WeightHistogram("exhaustive-ensemble", tuple(int(c) for c in counts),
-                           samples=1 << f_red)
+    return WeightHistogram("exhaustive-ensemble", counts, samples=1 << f_red)
 
 
 def ensemble_average_mc(
@@ -288,37 +304,28 @@ def ensemble_average_mc(
     Per-sample seeds come from derive_seeds(master_seed, samples), and
     the samples are measured one after another, so the result depends
     only on the arguments. With list_size None each sample is measured
-    exactly by brute force; with an int list_size >= 1 the low-weight
-    collector of that list size measures it and its saturation flags
-    propagate.
+    exactly by brute force; with an int list_size the low-weight
+    collector of that list size (which refuses one below 1) measures it
+    and its saturation flags propagate.
 
-    The histogram holds each weight's total and sum of squares over the
-    samples, as exact integers.
+    Each sample is folded into running totals as soon as it is measured:
+    each weight's total and sum of squares, as exact integers, and the
+    saturation flags by OR. No sample's histogram is kept, so memory does
+    not depend on `samples`.
     """
-    if list_size is not None:
-        if list_size < 1:
-            raise ValueError(f"list_size must be >= 1, got {list_size}")
-        from .scl import collect_low_weight
-    else:
+    from .scl import collect_low_weight  # scl imports this module: not at the top
+
+    if list_size is None:
         _check_budget(config.k)
-
-    seeds = derive_seeds(master_seed, samples)
-
-    def one(seed: int) -> WeightHistogram:
+    counts = squares = (0,) * (config.n + 1)
+    sat = None if list_size is None else (False,) * (config.n + 1)
+    for seed in derive_seeds(master_seed, samples):
         t = random_transform(config, seed)
-        if list_size is None:
-            return exact_spectrum(config, t)
-        return collect_low_weight(config, t, list_size)
-
-    results = [one(s) for s in seeds]
-    columns = list(zip(*(hist.counts for hist in results)))
-    # a weight is saturated when any sample's list was pruned there
-    sat = None if list_size is None else tuple(map(any, zip(*(h.saturated for h in results))))
-    return WeightHistogram(
-        "monte-carlo",
-        tuple(map(sum, columns)),
-        samples=samples,
-        seed=master_seed,
-        squares=tuple(sum(c * c for c in col) for col in columns),
-        saturated=sat,
-    )
+        hist = (exact_spectrum(config, t) if list_size is None
+                else collect_low_weight(config, t, list_size))
+        if sat is not None:  # a weight is saturated when any sample's list was pruned there
+            sat = tuple(map(or_, sat, hist.saturated))
+        counts = tuple(map(add, counts, hist.counts))
+        squares = tuple(map(add, squares, map(mul, hist.counts, hist.counts)))
+    return WeightHistogram("monte-carlo", counts, samples=samples, seed=master_seed,
+                           squares=squares, saturated=sat)

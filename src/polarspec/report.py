@@ -22,9 +22,11 @@ import csv
 import io
 import json
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import starmap
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 
 from .construct import CodeConfig
 from .dyadic import decimal_text, int_text, lowest_terms
@@ -44,16 +46,33 @@ class SpectrumReport:
     """One spectrum computation, ready for serialization.
 
     ``rows`` holds one tuple per entry, its values under ``columns``.
+    Nothing a report writes can change after it is built: ``code`` and
+    ``entries`` are fresh dicts built on access from the frozen
+    ``config``, ``construction`` and rows, and ``transform`` is a
+    read-only copy of the mapping passed in (a shallow one: the CLI's
+    values are scalars).
     """
 
-    code: dict
+    config: CodeConfig
+    construction: str
     method: str
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
-    transform: dict | None = None
+    transform: Mapping | None = None
     samples: int | None = None
     seed: int | None = None
     list_size: int | None = None
+
+    def __post_init__(self):
+        if self.transform is not None:
+            object.__setattr__(self, "transform", MappingProxyType(dict(self.transform)))
+
+    @property
+    def code(self) -> dict:
+        """The code block, a fresh dict on each access: n, k, construction
+        and info_set."""
+        return {"n": self.config.n, "k": self.config.k, "construction": self.construction,
+                "info_set": list(self.config.info_set)}
 
     @property
     def entries(self) -> list[dict]:
@@ -62,7 +81,8 @@ class SpectrumReport:
 
     def _metadata(self) -> dict:
         """The method and every other field that is set, beside code and entries."""
-        optional = {"transform": self.transform, "samples": self.samples, "seed": self.seed,
+        transform = None if self.transform is None else dict(self.transform)
+        optional = {"transform": transform, "samples": self.samples, "seed": self.seed,
                     "list_size": self.list_size}
         return {"method": self.method, **{k: v for k, v in optional.items() if v is not None}}
 
@@ -124,15 +144,6 @@ def _canonical(obj, depth: int) -> str:
     return f"{left}\n{inner}{body}\n{pad}{right}"
 
 
-def _code_block(config: CodeConfig, construction: str) -> dict:
-    return {
-        "n": config.n,
-        "k": config.k,
-        "construction": construction,
-        "info_set": list(config.info_set),
-    }
-
-
 def _exact(num: int, exp: int, digits: int) -> tuple[int, str, str]:
     """num / 2^exp as the report's exp2, num and value, in lowest terms."""
     num = operator.index(num)  # numpy integers too
@@ -156,7 +167,7 @@ def report_from_average(
 ) -> SpectrumReport:
     """Report for the exact recursion output, one entry per weight."""
     rows = tuple((d, *_exact(x, spec.exp, digits)) for d, x in enumerate(spec.nums, start=1))
-    return SpectrumReport(_code_block(config, construction), "recursion", _EXACT, rows)
+    return SpectrumReport(config, construction, "recursion", _EXACT, rows)
 
 
 def report_from_histogram(
@@ -190,9 +201,10 @@ def report_from_histogram(
     if hist.saturated is not None:
         at = columns.index("value")
         columns = (*columns[:at], "saturated", *columns[at:])
-        rows = [(*r[:at], bool(hist.saturated[d]), *r[at:]) for d, r in enumerate(rows)]
+        rows = [(*r[:at], hist.saturated[d], *r[at:]) for d, r in enumerate(rows)]
     return SpectrumReport(
-        _code_block(config, construction),
+        config,
+        construction,
         hist.source,
         columns,
         tuple(rows),

@@ -271,4 +271,4 @@ def collect_low_weight(
     counts = np.bincount(metric, minlength=n + 1)[: n + 1]
     counts[0] = 0
     sat = tuple(d >= prune_bound for d in range(n + 1))
-    return WeightHistogram("scl", tuple(int(c) for c in counts), saturated=sat)
+    return WeightHistogram("scl", counts, saturated=sat)

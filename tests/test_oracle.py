@@ -520,6 +520,18 @@ class TestEnsembleAverageMC:
         )
         assert all(type(x) is int for x in (*mc.counts, *mc.squares))
 
+    def test_memory_does_not_grow_with_samples(self):
+        # each sample is folded into running totals as it is measured; a
+        # list of 1000 per-sample histograms of 257 counts peaks at ~4 MiB
+        cfg = construct_pw(256, 6)
+        tracemalloc.start()
+        try:
+            ensemble_average_mc(cfg, 1, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, peak / 2**20
+
     def test_source_fields(self):
         cfg = construct_pw(8, 4)
         h = ensemble_average_mc(cfg, 3, samples=5)
@@ -613,8 +625,28 @@ def test_weight_histogram_nonzero():
     ("exhaustive-ensemble", {"samples": 3}, "power-of-two samples >= 1, got 3"),
     ("brute", {"squares": (0, 4, 0)}, "squares belong to monte-carlo"),
     ("monte-carlo", {}, "squares belong to monte-carlo"),
+    ("brute", {"counts": (0, -2, 0)}, "negative numerator in counts"),
+    ("monte-carlo", {"counts": (1, -2, 1), "samples": 2, "squares": (1, 0, 1)}, "negative numerator"),
+    # 2 * 1 < 2^2: the rendered variance would be negative
+    ("monte-carlo", {"samples": 2, "squares": (0, 1, 0)}, r"needs samples \* squares"),
 ])
 def test_weight_histogram_checks_its_shape(source, fields, message):
     # a mismatched histogram is refused when it is built, not when rendered
     with pytest.raises(ValueError, match=message):
-        WeightHistogram(source, (0, 2, 0), **fields)
+        WeightHistogram(source, **{"counts": (0, 2, 0), **fields})
+
+
+def test_weight_histogram_keeps_tuples_of_checked_values():
+    # the caller's sequences are copied: editing them changes nothing
+    counts, flags = [0, 2, 1], [False, False, True]
+    h = WeightHistogram("scl", counts, saturated=flags)
+    counts.append(5)
+    flags[0] = True
+    assert h.counts == (0, 2, 1) and h.saturated == (False, False, True)
+    assert len(report_from_histogram(construct_pw(2, 1), "pw", h).entries) == 3
+    # numpy integers become Python ints and numpy bools bools; a float is refused
+    h = WeightHistogram("monte-carlo", np.array([2, 4]), samples=2, squares=np.array([2, 8]),
+                        saturated=np.array([False, True]))
+    assert [type(x) for x in (*h.counts, *h.squares, *h.saturated)] == [int] * 4 + [bool] * 2
+    with pytest.raises(TypeError):
+        WeightHistogram("brute", (0, 2.0, 0))

@@ -162,6 +162,22 @@ class TestReportObjects:
         assert rep.to_json() == text
         assert rep.to_csv() == table
 
+    def test_editing_the_envelope_leaves_the_report_unchanged(self):
+        # code is a fresh dict on each access, transform a read-only copy
+        cfg = construct_pw(8, 4)
+        desc = {"kind": "pac", "poly": "1011"}
+        hist = exact_spectrum(cfg, identity_transform(cfg))
+        for rep in (report_from_average(cfg, "pw", avg_spectrum(cfg)),
+                    report_from_histogram(cfg, "pw", hist, transform=desc)):
+            text, table = rep.to_json(), rep.to_csv()
+            rep.code["n"] = 5
+            rep.code["info_set"].append(99)
+            assert rep.to_json() == text and rep.to_csv() == table
+        with pytest.raises(TypeError):
+            rep.transform["kind"] = "crc"
+        desc["poly"] = "11"  # the caller's dict
+        assert rep.to_json() == text and rep.to_csv() == table
+
 
 def assert_same_text(got: str, want: str) -> None:
     """Exact string equality that fails in seconds: pytest's diff of two
