@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import starmap
@@ -146,9 +145,6 @@ def _canonical(obj, depth: int) -> str:
 
 def _exact(num: int, exp: int, digits: int) -> tuple[int, str, str]:
     """num / 2^exp as the report's exp2, num and value, in lowest terms."""
-    num = operator.index(num)  # numpy integers too
-    if num < 0:
-        raise ValueError("negative numerator")
     low, low_exp = lowest_terms(num, exp)
     return low_exp, int_text(low), decimal_text(num, exp, digits)
 

@@ -38,7 +38,7 @@ import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter, lshift
+from operator import index, itemgetter, lshift
 
 from .construct import CodeConfig, min_row_weight
 from .dyadic import DyadicRational
@@ -64,11 +64,20 @@ class AverageSpectrum:
     nums[d - 1] is the integer E[N_d] * 2^exp; the recursion gives every
     numerator over exp = N - K. spec[d] renders one entry as a
     DyadicRational in lowest terms, for d = 1..d_max only.
+
+    Construction stores nums as a tuple of Python ints (operator.index:
+    numpy integers too, floats refused), never the caller's sequence,
+    and refuses a negative numerator or exp, as WeightHistogram does.
     """
 
     config: CodeConfig
     exp: int
     nums: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "nums", tuple(map(index, self.nums)))
+        if min(self.exp, *self.nums) < 0:
+            raise ValueError("negative numerator or exp")
 
     def __getitem__(self, d: int) -> DyadicRational:
         if not 1 <= d <= len(self.nums):

@@ -7,26 +7,17 @@ test green. Set POLARSPEC_ACCEPT_FULL=1 to run the long-form statistics
 instead of the CI smoke variant.
 """
 
-import functools
 import math
 import os
 import time
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-import pytest
-
 from polarspec import spectrum
-from polarspec.construct import CodeConfig, construct_pw, construct_rm, min_row_weight
+from polarspec.construct import CodeConfig, construct_pw, construct_rm
 from polarspec.dyadic import DyadicRational
-from polarspec.kernel import row_bits, row_weight
-from polarspec.oracle import (
-    ensemble_average_exact,
-    ensemble_average_mc,
-    exact_spectrum,
-    generator_rows,
-)
+from polarspec.kernel import row_weight
+from polarspec.oracle import ensemble_average_mc
 from polarspec.pretransform import (
     PreTransform,
     SplitMix64,
@@ -37,7 +28,8 @@ from polarspec.pretransform import (
     random_transform,
 )
 from polarspec.scl import collect_low_weight
-from polarspec.spectrum import avg_nmin, avg_spectrum, coset_spectrum, p_exact, p_min
+from polarspec.spectrum import avg_nmin, avg_spectrum, coset_spectrum
+from routes import agree, brute, collector, coset, enumerated_coset, exhaustive, nmin, recursion
 
 FULL = os.environ.get("POLARSPEC_ACCEPT_FULL", "") == "1"
 
@@ -96,14 +88,14 @@ def test_rm512_min_weight_average():
     t0 = time.perf_counter()
     cfg = construct_rm(512, 256)
     d_min, value = avg_nmin(cfg)
-    truncated = avg_spectrum(cfg, d_max=32)
+    agrees = agree(nmin(cfg), recursion(cfg, d_max=32))
     elapsed = time.perf_counter() - t0
     got = value.to_fraction()
     ok = (
         elapsed < 600.0
         and d_min == 32
         and abs(got - 15936) / 15936 <= Fraction(1, 1000)
-        and truncated[32] == value
+        and agrees
     )
     report("rm512-nmin", ok, f"d_min={d_min}, value={value.decimal(1)} in {elapsed:.2f}s")
     assert ok
@@ -159,11 +151,7 @@ def test_recursion_matches_exhaustive_ensemble():
     assert all(free_entry_count(cfg) <= 20 for cfg in family)
     mismatches = []
     for cfg in family:
-        enumerated = ensemble_average_exact(cfg)
-        recursed = avg_spectrum(cfg)
-        # totals over 2^F_red against numerators over 2^(N-K), as integers
-        f = enumerated.samples.bit_length() - 1
-        if any(c << recursed.exp != x << f for c, x in zip(enumerated.counts[1:], recursed.nums)):
+        if not agree(exhaustive(cfg), recursion(cfg)):
             mismatches.append(cfg)
     elapsed = time.perf_counter() - t0
     ok = not mismatches and elapsed < 600.0
@@ -198,7 +186,8 @@ def test_coset_invariants_and_average_mass():
             parity_violations = range(0 if i == 1 else 1, n + 1, 2)
             if any(c[d] for d in parity_violations):
                 bad.append((m, i, "parity"))
-            if p_min(m, i) != p_exact(m, i, w):
+            # p_min against the full recursion, on the single-row code
+            if not agree(nmin(CodeConfig(m, (i,))), coset(CodeConfig(m, (i,)))):
                 bad.append((m, i, "min-weight probability"))
     rows = sum(1 << m for m in range(1, 8))
 
@@ -263,9 +252,8 @@ def test_collector_matches_brute_force():
     mismatches = []
     cases = collector_family()
     for cfg, transform in cases:
-        h = collect_low_weight(cfg, transform, 1 << cfg.k)
-        e = exact_spectrum(cfg, transform)
-        if h.counts[1:] != e.counts[1:] or h.counts[0] != 0 or any(h.saturated):
+        full = collector(cfg, transform, 1 << cfg.k)
+        if full.sat != math.inf or not agree(full, brute(cfg, transform)):
             mismatches.append(cfg)
 
     pw = construct_pw(128, 64)
@@ -316,27 +304,6 @@ def test_monte_carlo_statistics():
     assert ok, failures
 
 
-@functools.cache
-def tail_block(m: int, pivot_row: int) -> np.ndarray:
-    """All XOR combinations of the rows after `pivot_row`, built once per
-    (m, pivot_row) and shared by every transform row swept there."""
-    block = np.zeros(1, dtype=np.uint64)
-    for j in range(pivot_row + 1, (1 << m) + 1):
-        block = np.concatenate([block, block ^ np.uint64(row_bits(m, j))])
-    block.flags.writeable = False
-    return block
-
-
-def direct_coset_hist(m: int, pivot_row: int, pivot_mask: int) -> np.ndarray:
-    """Weight histogram of row `pivot_row`'s coset under one transform row,
-    by plain enumeration of all tail combinations."""
-    n = 1 << m
-    block = tail_block(m, pivot_row)
-    cfg = CodeConfig(m, (pivot_row,))
-    (g,) = generator_rows(cfg, PreTransform(n, {pivot_row: pivot_mask}))
-    return np.bincount(np.bitwise_count(block ^ np.uint64(g)), minlength=n + 1)
-
-
 def test_coset_invariance_under_transforms():
     t0 = time.perf_counter()
     bad = []
@@ -344,23 +311,20 @@ def test_coset_invariance_under_transforms():
     for m in (1, 2, 3, 4):
         n = 1 << m
         for i in range(1, n + 1):
-            ref = np.array(coset_spectrum(m, i), dtype=np.int64)
-            width = n - i
-            for mask_bits in range(1 << width):
-                hist = direct_coset_hist(m, i, mask_bits << i)
+            cfg = CodeConfig(m, (i,))
+            ref = coset(cfg)
+            for mask_bits in range(1 << (n - i)):
                 swept += 1
-                if not np.array_equal(hist, ref):
+                if not agree(enumerated_coset(cfg, PreTransform(n, {i: mask_bits << i})), ref):
                     bad.append((m, i, mask_bits, "invariance"))
                     break
         # independent doubling identity: the top-half coset repeats the
         # half-length coset with every weight scaled by two
         half = n >> 1
         for i in range(half + 1, n + 1):
-            top = direct_coset_hist(m, i, 0)
-            sub = direct_coset_hist(m - 1, i - half, 0) if m > 1 else np.array([0, 1])
-            if not all(top[2 * d] == sub[d] for d in range(half + 1)) or any(
-                top[1::2]
-            ):
+            top = enumerated_coset(CodeConfig(m, (i,))).nums  # weights 1..n
+            sub = enumerated_coset(CodeConfig(m - 1, (i - half,))).nums if m > 1 else (1,)
+            if top[1::2] != sub or any(top[::2]):
                 bad.append((m, i, "halving"))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 60.0

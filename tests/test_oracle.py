@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarspec.construct import CodeConfig, construct_pw, construct_rm, min_row_weight
-from polarspec.kernel import encode
 import polarspec.oracle
 from polarspec.oracle import (
     BLOCK_BITS,
@@ -26,27 +25,14 @@ from polarspec.pretransform import (
     PreTransform,
     crc_transform,
     derive_seeds,
-    free_entry_count,
     identity_transform,
     pac_transform,
     random_transform,
-    transform_from_bits,
 )
 from polarspec.report import report_from_histogram
 from polarspec.scl import collect_low_weight
-from polarspec.spectrum import avg_spectrum
-
-
-def naive_spectrum(config: CodeConfig, transform: PreTransform) -> list[int]:
-    """Pure-int message sweep through kernel.encode; no numpy."""
-    n, k = config.n, config.k
-    hist = [0] * (n + 1)
-    for msg in range(1 << k):
-        u = 0
-        for j, i in enumerate(config.info_set):
-            u |= (msg >> j & 1) << (i - 1)
-        hist[encode(u, transform, config.m).bit_count()] += 1
-    return hist
+from routes import (Values, agree, brute, exhaustive, from_histogram, literal, naive, recursion,
+                    reduced_free_count)
 
 
 class TestGeneratorRows:
@@ -81,8 +67,7 @@ class TestExactSpectrum:
     def test_matches_naive_enumeration(self, n, k, seed):
         cfg = construct_pw(n, k)
         t = random_transform(cfg, seed)
-        h = exact_spectrum(cfg, t)
-        assert list(h.counts) == naive_spectrum(cfg, t)
+        assert agree(brute(cfg, t), naive(cfg, t))
 
     def test_mass_and_floor(self):
         cfg = construct_pw(64, 16)
@@ -171,7 +156,7 @@ class TestHistOfBlock:
 
         monkeypatch.setattr(polarspec.oracle, "BLOCK_BITS", bits)
         monkeypatch.setattr(polarspec.oracle, "_chunked_bincount", spy)
-        assert list(exact_spectrum(cfg, t).counts) == naive_spectrum(cfg, t)
+        assert agree(brute(cfg, t), naive(cfg, t))
         # the fallback counts n + 1 weights; the pair path a 256 (n + 1) table
         assert set(lengths) == {256 * 17 if pair_path else 17}
 
@@ -212,55 +197,7 @@ class TestHistOfBlock:
         finally:
             tracemalloc.stop()
         assert peak <= (8 << 16) + (2 << 20), peak / 2**20
-        assert_matches_recursion(h, avg_spectrum(cfg), cfg)
-
-
-def naive_ensemble_average(config: CodeConfig) -> list[int]:
-    # rebuild-from-scratch route: no Gray stepping, no in-place patches,
-    # no reduction; per-weight totals over all 2^F transforms
-    total = [0] * (config.n + 1)
-    for b in range(1 << free_entry_count(config)):
-        h = exact_spectrum(config, transform_from_bits(config, b))
-        for d, c in enumerate(h.counts):
-            total[d] += c
-    return total
-
-
-def reduced_free_count(config: CodeConfig) -> int:
-    """F_red: entries (i, j) with i in A, j > i and j frozen."""
-    frozen = set(config.frozen_set)
-    return sum(j in frozen for i in config.info_set for j in range(i + 1, config.n + 1))
-
-
-def assert_matches_literal_route(h: WeightHistogram, config: CodeConfig) -> None:
-    # totals over 2^F_red against the naive totals over 2^F, as integers
-    f, f_red = free_entry_count(config), reduced_free_count(config)
-    assert h.source == "exhaustive-ensemble"
-    assert h.samples == 1 << f_red, config
-    expected = naive_ensemble_average(config)
-    assert all(c << f == x << f_red for c, x in zip(h.counts, expected)), config
-
-
-def assert_matches_recursion(h: WeightHistogram, s, config: CodeConfig) -> None:
-    # totals over 2^F_red against numerators over 2^(N-K), compared as integers
-    f = h.samples.bit_length() - 1
-    assert h.counts[0] == h.samples, config
-    assert all(c << s.exp == x << f for c, x in zip(h.counts[1:], s.nums)), config
-
-
-@st.composite
-def _literal_sets(draw, max_free: int = 10) -> CodeConfig:
-    # N <= 16 and at most 2^max_free transforms for the literal route: a
-    # random order of candidate indices, each kept while F stays in bounds
-    m = draw(st.integers(1, 4))
-    n = 1 << m
-    order = draw(st.permutations(range(1, n + 1)))
-    info, free = set(), 0
-    for i in order[: draw(st.integers(1, n))]:
-        if free + n - i <= max_free:
-            info.add(i)
-            free += n - i
-    return CodeConfig(m, tuple(sorted(info or {n})))
+        assert agree(from_histogram(h), recursion(cfg))
 
 
 class TestEnsembleAverageExact:
@@ -283,15 +220,7 @@ class TestEnsembleAverageExact:
         cfg = CodeConfig(m, info)
         for bits in (0, 3, 20):
             monkeypatch.setattr(polarspec.oracle, "BLOCK_BITS", bits)
-            assert_matches_literal_route(ensemble_average_exact(cfg), cfg)
-
-    @pytest.mark.parametrize("bits", [0, 20])
-    @settings(max_examples=30, deadline=None)
-    @given(cfg=_literal_sets())
-    def test_reduced_walk_matches_literal_route(self, bits, cfg):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(polarspec.oracle, "BLOCK_BITS", bits)
-            assert_matches_literal_route(ensemble_average_exact(cfg), cfg)
+            assert agree(exhaustive(cfg), literal(cfg))
 
     @pytest.mark.parametrize(
         "cfg",
@@ -300,21 +229,16 @@ class TestEnsembleAverageExact:
     )
     def test_standard_codes_match_recursion(self, cfg):
         # F = 29, 39 and 60 transform entries, F_red = 1, 11 and 5
-        assert_matches_recursion(ensemble_average_exact(cfg), avg_spectrum(cfg), cfg)
+        assert agree(exhaustive(cfg), recursion(cfg))
 
     def test_matches_recursion_batch(self):
         # oracle vs closed-form recursion, exact integer equality
         cases = [CodeConfig(2, info) for r in (1, 2, 3)
                  for info in combinations((1, 2, 3, 4), r)]
-        cases += [
-            CodeConfig(3, (2, 6, 7, 8)),
-            CodeConfig(3, (5, 6, 7, 8)),
-            CodeConfig(3, (4, 8)),
-            CodeConfig(4, (12, 14, 15, 16)),
-            CodeConfig(4, (8, 13, 15, 16)),
-        ]
+        cases += [CodeConfig(3, (2, 6, 7, 8)), CodeConfig(3, (5, 6, 7, 8)), CodeConfig(3, (4, 8)),
+                  CodeConfig(4, (12, 14, 15, 16)), CodeConfig(4, (8, 13, 15, 16))]
         for cfg in cases:
-            assert_matches_recursion(ensemble_average_exact(cfg), avg_spectrum(cfg), cfg)
+            assert agree(exhaustive(cfg), recursion(cfg)), cfg
 
     # N <= 16, K = 1..4, F = 0..12: depending on the block size the leading
     # batch spans none, some or all of the free entries
@@ -335,11 +259,12 @@ class TestEnsembleAverageExact:
         monkeypatch.setattr(polarspec.oracle, "BLOCK_BITS", bits)
         assert [ensemble_average_exact(cfg) for cfg in self.BATCH_CASES] == expected
         for cfg in self.BATCH_CASES[:4]:
-            assert_matches_literal_route(ensemble_average_exact(cfg), cfg)
+            assert agree(exhaustive(cfg), literal(cfg)), cfg
 
     def test_mass(self):
         cfg = CodeConfig(3, (4, 6, 7, 8))
         h = ensemble_average_exact(cfg)
+        assert h.source == "exhaustive-ensemble" and h.samples == 1 << reduced_free_count(cfg)
         assert sum(h.counts) == h.samples << cfg.k
 
     def test_budget(self):
@@ -352,13 +277,13 @@ class TestEnsembleAverageExact:
         # K + F_red = 8 + 1: accepted at the limit, refused one below it
         cfg = construct_pw(16, 8)
         monkeypatch.setattr(polarspec.oracle, "MAX_ENUM_BITS", 9)
-        assert_matches_recursion(ensemble_average_exact(cfg), avg_spectrum(cfg), cfg)
+        assert agree(exhaustive(cfg), recursion(cfg))
         monkeypatch.setattr(polarspec.oracle, "MAX_ENUM_BITS", 8)
         with pytest.raises(BudgetError, match=r"8 \+ 1"):
             ensemble_average_exact(cfg)
         # a fixed transform has F_red = 0: K alone is the rule
         t = random_transform(cfg, 1)
-        assert list(exact_spectrum(cfg, t).counts) == naive_spectrum(cfg, t)
+        assert agree(brute(cfg, t), naive(cfg, t))
         assert ensemble_average_mc(cfg, 0, samples=2).samples == 2
         monkeypatch.setattr(polarspec.oracle, "MAX_ENUM_BITS", 7)
         with pytest.raises(BudgetError):
@@ -420,7 +345,7 @@ class TestComplementPairing:
         # 0 and 3 put most rows in the outer Gray walk; 20 none of them
         cfg, t = _pairing_case(name)
         monkeypatch.setattr(polarspec.oracle, "BLOCK_BITS", bits)
-        assert list(exact_spectrum(cfg, t).counts) == naive_spectrum(cfg, t)
+        assert agree(brute(cfg, t), naive(cfg, t))
 
     @pytest.mark.parametrize("name", ["random-with-N", "random-without-N", "crc-with-N"])
     def test_only_half_the_codewords_are_enumerated_with_row_n(self, monkeypatch, name):
@@ -478,7 +403,7 @@ class TestComplementPairing:
     def test_ensemble_matches_recursion(self, monkeypatch, bits):
         monkeypatch.setattr(polarspec.oracle, "BLOCK_BITS", bits)
         for cfg in self.ENSEMBLE_CASES:
-            assert_matches_recursion(ensemble_average_exact(cfg), avg_spectrum(cfg), cfg)
+            assert agree(exhaustive(cfg), recursion(cfg)), cfg
 
     def test_ensemble_needs_the_all_ones_row_last(self, monkeypatch):
         real = generator_rows
@@ -566,7 +491,8 @@ class TestEnsembleAverageMC:
         cfg = construct_pw(16, 5)
         a = ensemble_average_mc(cfg, 7, samples=6)
         b = ensemble_average_mc(cfg, 7, samples=6, list_size=1 << 5)
-        assert a.counts[1:] == b.counts[1:]
+        # totals over the same six samples
+        assert agree(Values(a.counts, 0), Values(b.counts[1:], 0, 1))
         assert b.saturated is not None and not any(b.saturated)
 
     def test_argument_errors(self):

@@ -1,11 +1,8 @@
 import re
-from collections import Counter
-from itertools import product
 
 import pytest
 
 from polarspec.construct import CodeConfig, construct_pw, construct_rm
-from polarspec.kernel import row_bits
 from polarspec.pretransform import (
     PreTransform,
     SplitMix64,
@@ -18,7 +15,6 @@ from polarspec.pretransform import (
     random_transform,
     transform_from_bits,
 )
-from polarspec.spectrum import coset_spectrum
 
 
 class TestSplitMix64:
@@ -157,30 +153,6 @@ class TestRandomTransform:
             draws += f
         # >10k Bernoulli draws; 3 sigma is well under 0.03
         assert 0.47 < ones / draws < 0.53
-
-
-@pytest.mark.parametrize("m", [2, 3])
-def test_fixed_transform_leaves_coset_spectra_alone(m):
-    """Any upper-triangular choice yields the identity coset histogram.
-
-    Enumerated directly from transform rows, without the recursion's code.
-    """
-    n = 1 << m
-    for i in range(1, n + 1):
-        expect = Counter({d: c for d, c in enumerate(coset_spectrum(m, i)) if c})
-        for mask_bits in range(1 << (n - i)):
-            g = row_bits(m, i)
-            for off, j in enumerate(range(i + 1, n + 1)):
-                if mask_bits >> off & 1:
-                    g ^= row_bits(m, j)
-            hist: Counter[int] = Counter()
-            for combo in range(1 << (n - i)):
-                x = g
-                for off, j in enumerate(range(i + 1, n + 1)):
-                    if combo >> off & 1:
-                        x ^= row_bits(m, j)
-                hist[x.bit_count()] += 1
-            assert hist == expect
 
 
 class TestParsePoly:

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import os
 import random
@@ -10,15 +9,15 @@ from hypothesis import given, strategies as st
 from polarspec import spectrum
 from polarspec.construct import CodeConfig, construct_pw, construct_rm, min_row_weight
 from polarspec.dyadic import DyadicRational
-from polarspec.kernel import row_bits, row_weight
+from polarspec.kernel import row_weight
 from polarspec.spectrum import (
     avg_nmin,
     avg_spectrum,
     coset_spectrum,
     p_exact,
-    p_min,
     verify_average,
 )
+from routes import Values, agree, coset, coset_sum, enumerated_coset, nmin, recursion
 
 FULL = os.environ.get("POLARSPEC_ACCEPT_FULL", "") == "1"
 
@@ -87,9 +86,9 @@ def test_upper_half_is_scaled_copy(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_pmin_agrees_with_full_recursion(m):
-    # two independent code paths for the same quantity
+    # two independent code paths for the same quantity, on the single-row code
     for i in range(1, (1 << m) + 1):
-        assert p_min(m, i) == p_exact(m, i, row_weight(m, i))
+        assert agree(nmin(CodeConfig(m, (i,))), coset(CodeConfig(m, (i,)))), i
 
 
 def test_p_exact_values():
@@ -174,9 +173,9 @@ class TestAvgNmin:
         for n, k in ((16, 8), (32, 10), (64, 32), (128, 64)):
             for build in (construct_rm, construct_pw):
                 cfg = build(n, k)
-                d_min, val = avg_nmin(cfg)
-                assert d_min == min_row_weight(cfg)
-                assert val == avg_spectrum(cfg, d_max=d_min)[d_min]
+                at_dmin = nmin(cfg)
+                assert at_dmin.lo == min_row_weight(cfg)
+                assert agree(at_dmin, recursion(cfg, d_max=at_dmin.lo))
 
     def test_rm_512_256(self):
         d_min, val = avg_nmin(construct_rm(512, 256))
@@ -213,8 +212,7 @@ def _full_reference(n: int, build) -> None:
     cfg = build(n, n // 2)
     spec = avg_spectrum(cfg)
     assert verify_average(spec) == []
-    d_min, val = avg_nmin(cfg)
-    assert spec[d_min] == val
+    assert agree(nmin(cfg), Values(spec.nums, spec.exp, 1))
 
 
 @pytest.mark.parametrize("build", [construct_rm, construct_pw])
@@ -230,20 +228,11 @@ def test_full_spectrum_reference_4096(build):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_average_equals_row_by_row_coset_sum(seed):
-    # E[N_d] = sum over info rows j of 2^(K-j) * counts_i[d] / 2^(N-i),
-    # accumulated row by row from single-coset spectra, as integers over 2^N
     rng = random.Random(seed)
     m = rng.randint(1, 7)
     n = 1 << m
-    info = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
-    cfg = CodeConfig(m, info)
-    expect = [0] * (n + 1)
-    for j, i in enumerate(info, start=1):
-        counts = coset_spectrum(m, i)
-        for d in range(1, n + 1):
-            expect[d] += counts[d] << (cfg.k - j + i)
-    spec = avg_spectrum(cfg)
-    assert [x << (n - spec.exp) for x in spec.nums] == expect[1:]
+    cfg = CodeConfig(m, tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))))
+    assert agree(coset_sum(cfg), recursion(cfg))
 
 
 @pytest.mark.parametrize("build", [construct_rm, construct_pw])
@@ -335,20 +324,6 @@ def test_truncated_spectrum_is_pinned(n, name, k, d_max):
     assert _spectrum_digest(spec) == PINNED_TRUNCATED[n, name, k, d_max]
 
 
-@functools.cache
-def _enumerated_coset_counts(m: int, i: int) -> list[int]:
-    # walk row i + span(rows i+1..N) in Gray order, one popcount per member
-    n = 1 << m
-    rows = [row_bits(m, j) for j in range(i + 1, n + 1)]
-    word = row_bits(m, i)
-    counts = [0] * (n + 1)
-    counts[word.bit_count()] += 1
-    for t in range(1, 1 << len(rows)):
-        word ^= rows[(t & -t).bit_length() - 1]
-        counts[word.bit_count()] += 1
-    return counts
-
-
 # every coset with at most 2^18 members up to N = 64, the top table level
 ENUMERATED_COSETS = (
     [(m, i) for m in range(1, 5) for i in range(1, (1 << m) + 1)]
@@ -366,11 +341,12 @@ def below_the_table(monkeypatch):
 @pytest.mark.parametrize("m,i", ENUMERATED_COSETS)
 def test_coset_spectrum_matches_enumeration(m, i):
     # an independent count of every member: tests the complement symmetry
-    # the recursion mirrors on, and the mirrored upper half itself
-    counts = _enumerated_coset_counts(m, i)
+    # the recursion mirrors on (counts[d] == counts[N - d], no all-ones
+    # word), and the mirrored upper half itself
+    enumerated = enumerated_coset(CodeConfig(m, (i,)))
     if i < 1 << m:
-        assert counts == counts[::-1]
-    assert list(coset_spectrum(m, i)) == counts
+        assert enumerated.nums[-1] == 0 and enumerated.nums[:-1] == enumerated.nums[-2::-1]
+    assert agree(coset(CodeConfig(m, (i,))), enumerated)
 
 
 @pytest.mark.parametrize("m,i", ENUMERATED_COSETS)
@@ -411,8 +387,7 @@ def test_avg_nmin_equals_the_spectrum_on_any_info_set(data):
     m = data.draw(st.integers(1, 8))
     info = data.draw(st.sets(st.integers(1, 1 << m), min_size=1))
     cfg = CodeConfig(m, tuple(sorted(info)))
-    d_min = min_row_weight(cfg)
-    assert avg_nmin(cfg) == (d_min, avg_spectrum(cfg, d_min)[d_min])
+    assert agree(nmin(cfg), recursion(cfg, d_max=min_row_weight(cfg)))
 
 
 def _mixed_or_open_info_set(rng: random.Random, m: int, with_row_1: bool) -> CodeConfig:
