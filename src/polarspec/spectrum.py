@@ -76,7 +76,7 @@ class AverageSpectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "nums", tuple(map(index, self.nums)))
-        if min(self.exp, *self.nums) < 0:
+        if self.exp < 0 or min(self.nums, default=0) < 0:
             raise ValueError("negative numerator or exp")
 
     def __getitem__(self, d: int) -> DyadicRational:

@@ -11,7 +11,8 @@ Coset routes cover weights d >= 1 only: the coset of a single
 information row i, counted over its 2^(N-i) members, is the single-row
 ensemble average at every d >= 1, but a coset holds no zero word while
 the ensemble counts it. The collector, likewise, leaves out the zero
-word.
+word; its helper checks that it counted none, and that a full list of
+2^K paths flags no weight.
 
 The references no library call shares live here and nowhere else: the
 message sweep through kernel.encode (naive), the rebuild of every one of
@@ -56,9 +57,12 @@ def agree(a: Values, b: Values) -> bool:
                                    for d, x, y in aligned)
 
 
-def from_histogram(h, lo: int = 0) -> Values:
+def from_histogram(h, config: CodeConfig, lo: int = 0) -> Values:
     """An exact histogram's counts from weight lo, over its power-of-two
-    sample count; its first saturated weight bounds the exact range."""
+    sample count; its first saturated weight bounds the exact range. The
+    histogram must cover every weight 0..N."""
+    if len(h.counts) != config.n + 1:
+        raise AssertionError(f"{h.source} counts {len(h.counts)} weights, not N + 1 = {config.n + 1}")
     sat = next((d for d, s in enumerate(h.saturated or ()) if s), math.inf)
     return Values(h.counts[lo:], h.samples.bit_length() - 1, lo, sat)
 
@@ -70,7 +74,7 @@ def reduced_free_count(config: CodeConfig) -> int:
 
 
 def brute(config: CodeConfig, transform: PreTransform) -> Values:
-    return from_histogram(exact_spectrum(config, transform))
+    return from_histogram(exact_spectrum(config, transform), config)
 
 
 def naive(config: CodeConfig, transform: PreTransform) -> Values:
@@ -83,16 +87,20 @@ def naive(config: CodeConfig, transform: PreTransform) -> Values:
 
 
 def collector(config: CodeConfig, transform: PreTransform, list_size: int) -> Values:
-    return from_histogram(collect_low_weight(config, transform, list_size), lo=1)
+    h = collect_low_weight(config, transform, list_size)
+    if h.counts[0] or list_size >= 1 << config.k and any(h.saturated):
+        raise AssertionError(f"a zero word counted, or a full list of {list_size} flagged: {h}")
+    return from_histogram(h, config, lo=1)
 
 
 def recursion(config: CodeConfig, transform=None, d_max: int | None = None) -> Values:
+    """E[N_0..N_d_max]: every code of the ensemble holds one zero word."""
     spec = avg_spectrum(config, d_max)
-    return Values(spec.nums, spec.exp, 1)
+    return Values((1 << spec.exp,) + spec.nums, spec.exp)
 
 
 def exhaustive(config: CodeConfig, transform=None) -> Values:
-    return from_histogram(ensemble_average_exact(config))
+    return from_histogram(ensemble_average_exact(config), config)
 
 
 def literal(config: CodeConfig, transform=None) -> Values:

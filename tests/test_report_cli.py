@@ -35,7 +35,6 @@ from polarspec.report import (
 )
 from polarspec.scl import collect_low_weight
 from polarspec.spectrum import AverageSpectrum, avg_spectrum, verify_average
-from routes import Values, agree
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -135,6 +134,7 @@ class TestReportObjects:
         assert report_from_average(cfg, "pw", spec).to_json() == text
         with pytest.raises(TypeError):  # a float is refused
             AverageSpectrum(cfg, 0, (1.0,))
+        assert AverageSpectrum(cfg, 0, []).nums == ()  # no entry is no negative one
 
     def test_histogram_report_scl_saturation(self):
         cfg = construct_pw(16, 8)
@@ -639,11 +639,11 @@ class TestExactSpectrumCommand:
         # list size 16 covers every message, so both methods see the whole code
         _, brute_out, _ = run(capsys, "exact-spectrum", *argv)
         _, scl_out, _ = run(capsys, "exact-spectrum", *argv, "--method", "scl:16")
-        brute, scl = (json.loads(out)["entries"] for out in (brute_out, scl_out))
-        # counts of one code, over 2^0; the collector surveys nonzero codewords only
-        assert {e["exp2"] for e in brute + scl} == {0} and (brute[0]["num"], scl[0]["num"]) == ("1", "0")
-        brute, scl = (Values(tuple(int(e["num"]) for e in entries[1:]), 0, 1) for entries in (brute, scl))
-        assert agree(brute, scl)
+        brute = {e["d"]: (e["num"], e["exp2"]) for e in json.loads(brute_out)["entries"]}
+        scl = {e["d"]: (e["num"], e["exp2"]) for e in json.loads(scl_out)["entries"]}
+        # the collector surveys nonzero codewords only
+        assert brute.pop(0) == ("1", 0) and scl.pop(0) == ("0", 0)
+        assert brute == scl
         assert not any(e["saturated"] for e in json.loads(scl_out)["entries"])
 
     def test_brute_budget_suggests_scl(self, capsys):

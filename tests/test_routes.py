@@ -27,5 +27,7 @@ def test_every_admitted_pair_agrees(kind, data, table_level, block_bits):
         patch.setattr(polarspec.oracle, "BLOCK_BITS", block_bits)
         ran = [(r.name, r.run(cfg, t)) for r in ROUTES
                if r.ensemble == (kind == "ensemble") and r.admits(cfg)]
+    # every route but avg_nmin covers its weights up to N
+    assert all(v.lo + len(v.nums) == cfg.n + 1 for name, v in ran if name != "avg_nmin"), cfg
     for (name_a, a), (name_b, b) in combinations(ran, 2):
         assert agree(a, b), (name_a, name_b)

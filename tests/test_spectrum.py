@@ -84,7 +84,7 @@ def test_upper_half_is_scaled_copy(m):
             assert c[d] == expect
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
 def test_pmin_agrees_with_full_recursion(m):
     # two independent code paths for the same quantity, on the single-row code
     for i in range(1, (1 << m) + 1):
