@@ -48,8 +48,8 @@ class SpectrumReport:
     Nothing a report writes can change after it is built: ``code`` and
     ``entries`` are fresh dicts built on access from the frozen
     ``config``, ``construction`` and rows, and ``transform`` is a
-    read-only copy of the mapping passed in (a shallow one: the CLI's
-    values are scalars).
+    read-only copy of the mapping passed in, all the way down: nested
+    mappings become read-only mappings and lists become tuples.
     """
 
     config: CodeConfig
@@ -64,7 +64,7 @@ class SpectrumReport:
 
     def __post_init__(self):
         if self.transform is not None:
-            object.__setattr__(self, "transform", MappingProxyType(dict(self.transform)))
+            object.__setattr__(self, "transform", _frozen(self.transform))
 
     @property
     def code(self) -> dict:
@@ -80,7 +80,7 @@ class SpectrumReport:
 
     def _metadata(self) -> dict:
         """The method and every other field that is set, beside code and entries."""
-        transform = None if self.transform is None else dict(self.transform)
+        transform = None if self.transform is None else _thawed(self.transform)
         optional = {"transform": transform, "samples": self.samples, "seed": self.seed,
                     "list_size": self.list_size}
         return {"method": self.method, **{k: v for k, v in optional.items() if v is not None}}
@@ -113,6 +113,21 @@ class SpectrumReport:
                 e["saturated"] = "true" if e["saturated"] else "false"
             writer.writerow(e.get("value" if c == "value_decimal" else c, "") for c in CSV_COLUMNS)
         return buf.getvalue()
+
+
+def _frozen(value):
+    """A read-only copy of a transform value: mappings become read-only
+    mappings and lists and tuples tuples, at every depth."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
+
+
+def _thawed(value):
+    """Plain dicts and lists again, as json writes them."""
+    if isinstance(value, Mapping):
+        return {k: _thawed(v) for k, v in value.items()}
+    return list(map(_thawed, value)) if isinstance(value, tuple) else value
 
 
 _SCALARS = {str, int, float, bool, type(None)}

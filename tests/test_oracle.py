@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -230,20 +229,6 @@ class TestEnsembleAverageExact:
     def test_standard_codes_match_recursion(self, cfg):
         # F = 29, 39 and 60 transform entries, F_red = 1, 11 and 5
         assert agree(exhaustive(cfg), recursion(cfg))
-
-    def test_matches_recursion_batch(self):
-        # oracle vs closed-form recursion, exact integer equality
-        cases = [CodeConfig(2, info) for r in (1, 2, 3)
-                 for info in combinations((1, 2, 3, 4), r)]
-        cases += [
-            CodeConfig(3, (2, 6, 7, 8)),
-            CodeConfig(3, (5, 6, 7, 8)),
-            CodeConfig(3, (4, 8)),
-            CodeConfig(4, (12, 14, 15, 16)),
-            CodeConfig(4, (8, 13, 15, 16)),
-        ]
-        for cfg in cases:
-            assert agree(exhaustive(cfg), recursion(cfg)), cfg
 
     # N <= 16, K = 1..4, F = 0..12: depending on the block size the leading
     # batch spans none, some or all of the free entries

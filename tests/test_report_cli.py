@@ -45,6 +45,13 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     return rc, cap.out, cap.err
 
 
+def run_json(capsys, *argv: str) -> dict:
+    """The JSON report a command that exits 0 prints, parsed."""
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0, err
+    return json.loads(out)
+
+
 def run_usage_error(capsys, *argv: str) -> str:
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -179,8 +186,9 @@ class TestReportObjects:
 
     def test_editing_the_envelope_leaves_the_report_unchanged(self):
         # code is a fresh dict on each access, transform a read-only copy
+        # all the way down
         cfg = construct_pw(8, 4)
-        desc = {"kind": "pac", "poly": "1011"}
+        desc = {"kind": "pac", "poly": "1011", "t": [{"a": 1}]}
         hist = exact_spectrum(cfg, identity_transform(cfg))
         for rep in (report_from_average(cfg, "pw", avg_spectrum(cfg)),
                     report_from_histogram(cfg, "pw", hist, transform=desc)):
@@ -190,7 +198,10 @@ class TestReportObjects:
             assert rep.to_json() == text and rep.to_csv() == table
         with pytest.raises(TypeError):
             rep.transform["kind"] = "crc"
+        with pytest.raises(TypeError):
+            rep.transform["t"][0]["a"] = 2
         desc["poly"] = "11"  # the caller's dict
+        desc["t"][0]["a"] = 2  # and a nested object in it
         assert rep.to_json() == text and rep.to_csv() == table
 
 
@@ -356,28 +367,16 @@ class TestGoldenFiles:
     format ever changes on purpose."""
 
     def test_avg_spectrum_json(self, capsys):
-        rc, out, _ = run(
-            capsys, "avg-spectrum", "--n", "16", "--k", "8",
-            "--construction", "rm", "--round", "4",
-        )
-        assert rc == 0
-        assert out == (GOLDEN / "avg_rm16_8.json").read_text()
+        self.test_every_report_shape(capsys, "avg_rm16_8.json",
+                                     "avg-spectrum --n 16 --k 8 --construction rm --round 4")
 
     def test_exact_spectrum_csv(self, capsys):
-        rc, out, _ = run(
-            capsys, "exact-spectrum", "--n", "16", "--k", "8", "--construction", "pw",
-            "--transform", "random:3", "--method", "scl:8", "--format", "csv",
-        )
-        assert rc == 0
-        assert out == (GOLDEN / "exact_pw16_8_scl8.csv").read_text()
+        self.test_every_report_shape(capsys, "exact_pw16_8_scl8.csv", "exact-spectrum --n 16 --k 8 "
+                                     "--construction pw --transform random:3 --method scl:8 --format csv")
 
     def test_ensemble_json(self, capsys):
-        rc, out, _ = run(
-            capsys, "ensemble", "--n", "8", "--k", "4", "--construction", "pw",
-            "--samples", "3", "--seed", "5",
-        )
-        assert rc == 0
-        assert out == (GOLDEN / "ensemble_pw8_4.json").read_text()
+        self.test_every_report_shape(capsys, "ensemble_pw8_4.json",
+                                     "ensemble --n 8 --k 4 --construction pw --samples 3 --seed 5")
 
     @pytest.mark.parametrize("golden, argv", [
         ("avg_pw64_16.csv", "avg-spectrum --n 64 --k 16 --construction pw --round 9 --format csv"),
@@ -435,22 +434,18 @@ def test_exhaustive_report_bytes():
 
 class TestAvgSpectrumCommand:
     def test_dmax_truncates(self, capsys):
-        rc, out, _ = run(
+        doc = run_json(
             capsys, "avg-spectrum", "--n", "32", "--k", "16",
             "--construction", "pw", "--dmax", "8",
         )
-        assert rc == 0
-        doc = json.loads(out)
         assert [e["d"] for e in doc["entries"]] == list(range(1, 9))
 
     def test_full_space_average_is_the_exact_spectrum(self, capsys):
         # rate-1 code has no free transform entries left to average over
-        rc, out, _ = run(
+        doc = run_json(
             capsys, "avg-spectrum", "--n", "2", "--k", "2",
             "--construction", "rm", "--dmax", "2",
         )
-        assert rc == 0
-        doc = json.loads(out)
         assert [(e["d"], e["num"], e["exp2"]) for e in doc["entries"]] == [
             (1, "2", 0),
             (2, "1", 0),
@@ -498,11 +493,9 @@ class TestAvgSpectrumCommand:
     def test_file_construction(self, capsys, tmp_path):
         path = tmp_path / "rows.txt"
         path.write_text("# picked by hand\n4\n6\n\n7\n8\n")
-        rc, out, _ = run(
+        doc = run_json(
             capsys, "avg-spectrum", "--n", "8", "--construction", f"file:{path}",
         )
-        assert rc == 0
-        doc = json.loads(out)
         assert doc["code"]["info_set"] == [4, 6, 7, 8]
         assert doc["code"]["construction"] == f"file:{path}"
 
@@ -550,23 +543,19 @@ class TestAvgSpectrumCommand:
 
 class TestExactSpectrumCommand:
     def test_identity_brute_matches_library(self, capsys):
-        rc, out, _ = run(
+        doc = run_json(
             capsys, "exact-spectrum", "--n", "16", "--k", "8", "--construction", "pw",
         )
-        assert rc == 0
-        doc = json.loads(out)
         cfg = construct_pw(16, 8)
         hist = exact_spectrum(cfg, identity_transform(cfg))
         assert [int(e["num"]) for e in doc["entries"]] == list(hist.counts)
         assert doc["transform"] == {"kind": "identity"}
 
     def test_random_transform_descriptor(self, capsys):
-        rc, out, _ = run(
+        doc = run_json(
             capsys, "exact-spectrum", "--n", "16", "--k", "6",
             "--construction", "pw", "--transform", "random:42",
         )
-        assert rc == 0
-        doc = json.loads(out)
         assert doc["transform"] == {"kind": "random", "seed": 42}
         cfg = construct_pw(16, 6)
         hist = exact_spectrum(cfg, random_transform(cfg, 42))
@@ -582,12 +571,10 @@ class TestExactSpectrumCommand:
 
     def test_crc_transform(self, capsys):
         # --k is the message size, KPRIME the selected-row count
-        rc, out, _ = run(
+        doc = run_json(
             capsys, "exact-spectrum", "--n", "32", "--k", "8",
             "--construction", "pw", "--transform", "crc:10011,12",
         )
-        assert rc == 0
-        doc = json.loads(out)
         assert doc["transform"] == {"kind": "crc", "poly": "10011", "k_outer": 12}
         assert doc["code"]["k"] == 8
         outer = construct_pw(32, 12)
@@ -618,12 +605,10 @@ class TestExactSpectrumCommand:
         assert "--k" in err and "--transform" in err
 
     def test_scl_method(self, capsys):
-        rc, out, _ = run(
+        doc = run_json(
             capsys, "exact-spectrum", "--n", "32", "--k", "16",
             "--construction", "pw", "--method", "scl:12",
         )
-        assert rc == 0
-        doc = json.loads(out)
         assert doc["method"] == "scl" and doc["list_size"] == 12
         assert all(isinstance(e["saturated"], bool) for e in doc["entries"])
 
@@ -681,42 +666,28 @@ class TestExactSpectrumCommand:
 
 class TestEnsembleCommand:
     def test_reports_samples_and_seed(self, capsys):
-        rc, out, _ = run(
+        doc = run_json(
             capsys, "ensemble", "--n", "16", "--k", "6", "--construction", "pw",
             "--samples", "4", "--seed", "9",
         )
-        assert rc == 0
-        doc = json.loads(out)
         assert doc["samples"] == 4 and doc["seed"] == 9
         assert doc["method"] == "monte-carlo"
 
-    def test_threads_env_default(self, capsys, monkeypatch):
-        argv = ["ensemble", "--n", "8", "--k", "4", "--construction", "pw",
-                "--samples", "3"]
-        _, base, _ = run(capsys, *argv)
-        monkeypatch.setenv("POLARSPEC_THREADS", "3")
-        rc, out, _ = run(capsys, *argv)
-        assert rc == 0 and out == base
-
     def test_scl_method_carries_saturation(self, capsys):
-        rc, out, _ = run(
+        doc = run_json(
             capsys, "ensemble", "--n", "16", "--k", "8", "--construction", "pw",
             "--samples", "2", "--method", "scl:4",
         )
-        assert rc == 0
-        doc = json.loads(out)
         assert doc["list_size"] == 4
         assert any(e["saturated"] for e in doc["entries"])
 
     def test_degenerate_ensemble_reproduces_the_average_exactly(self, capsys):
         # every transform of this selection yields the same spectrum, so the
         # sampled means must hit the exhaustive average with zero variance
-        rc, out, _ = run(
+        doc = run_json(
             capsys, "ensemble", "--n", "8", "--k", "4", "--construction", "pw",
             "--samples", "2000", "--method", "brute", "--seed", "7",
         )
-        assert rc == 0
-        doc = json.loads(out)
         cfg = construct_pw(8, 4)
         exact = report_from_histogram(cfg, "pw", ensemble_average_exact(cfg)).entries
         for e in doc["entries"]:
@@ -728,12 +699,10 @@ class TestEnsembleCommand:
         # within four standard errors of the exhaustive average everywhere
         path = tmp_path / "rows.txt"
         path.write_text("3\n5\n7\n8\n")
-        rc, out, _ = run(
+        doc = run_json(
             capsys, "ensemble", "--n", "8", "--construction", f"file:{path}",
             "--samples", "400", "--method", "brute", "--seed", "7",
         )
-        assert rc == 0
-        doc = json.loads(out)
         exact = ensemble_average_exact(CodeConfig(3, (3, 5, 7, 8)))
         saw_variance = False
         for e in doc["entries"]:
@@ -792,10 +761,8 @@ class TestOutputFlags:
         assert "--round" in err and ">= 0" in err
 
     def test_round_zero_renders_integers(self, capsys):
-        rc, out, _ = run(
+        doc = run_json(
             capsys, "avg-spectrum", "--n", "16", "--k", "8",
             "--construction", "rm", "--round", "0",
         )
-        assert rc == 0
-        doc = json.loads(out)
         assert all("." not in e["value"] for e in doc["entries"])

@@ -11,7 +11,6 @@ from polarspec.construct import CodeConfig, construct_pw, construct_rm, min_row_
 from polarspec.dyadic import DyadicRational
 from polarspec.kernel import row_weight
 from polarspec.spectrum import (
-    avg_nmin,
     avg_spectrum,
     coset_spectrum,
     p_exact,
@@ -98,20 +97,6 @@ def test_p_exact_values():
 
 
 class TestAverageSpectrum:
-    def test_rm_128_64_known_points(self):
-        s = avg_spectrum(construct_rm(128, 64), d_max=20)
-        assert s[16] == DyadicRational(88541, 5)   # 2766.90625
-        assert s[18] == DyadicRational(787, 1)     # 393.5
-        assert s[20] == DyadicRational(320729, 2)  # 80182.25
-        assert all(not s[d] for d in range(1, 16))
-
-    def test_pw_128_64_known_points(self):
-        s = avg_spectrum(construct_pw(128, 64), d_max=16)
-        assert s[8] == DyadicRational(272)
-        assert s[12] == DyadicRational(896)
-        assert s[16] == DyadicRational(154221, 1)  # 77110.5
-        assert not s[10] and not s[14]
-
     def test_mass_identity_small(self):
         # total average count over all weights is 2^K - 1
         for n, k in ((8, 4), (16, 7), (16, 12), (32, 20)):
@@ -176,14 +161,6 @@ class TestAvgNmin:
                 at_dmin = nmin(cfg)
                 assert at_dmin.lo == min_row_weight(cfg)
                 assert agree(at_dmin, recursion(cfg, d_max=at_dmin.lo))
-
-    def test_rm_512_256(self):
-        d_min, val = avg_nmin(construct_rm(512, 256))
-        assert d_min == 32
-        assert val.decimal(4) == "15936.3378"
-
-    def test_pw_128_64(self):
-        assert avg_nmin(construct_pw(128, 64)) == (8, DyadicRational(272))
 
 
 class TestVerifyAverage:
