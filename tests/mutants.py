@@ -19,7 +19,8 @@ test that should catch it; it is never dropped to get a clean run.
 The default selection is the route property, tests/test_routes.py. A
 change to a kernel adds mutants for its new code here, and a refactor
 that moves an anchor carries its mutant along: tests/test_mutants.py
-checks every anchor in tier-1. Uses the standard library only.
+checks every anchor in tier-1, and that every library module but
+__init__.py has a mutant. Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ class Mutant(NamedTuple):
 
 SPECTRUM, ORACLE, SCL = "src/polarspec/spectrum.py", "src/polarspec/oracle.py", "src/polarspec/scl.py"
 REPORT, DYADIC = "src/polarspec/report.py", "src/polarspec/dyadic.py"
+CLI, CONSTRUCT, KERNEL = "src/polarspec/cli.py", "src/polarspec/construct.py", "src/polarspec/kernel.py"
 ORACLE_TESTS, REPORT_TESTS = "tests/test_oracle.py", "tests/test_report_cli.py"
+CONSTRUCT_TESTS, KERNEL_TESTS = "tests/test_construct.py", "tests/test_kernel.py"
 
 MUTANTS = (
     # the recursion: its mirror, its coset split and the closed-form p_min
@@ -103,9 +106,7 @@ MUTANTS = (
     # verify_average's odd-weight check: d = 1 is also below every minimum
     # weight without row 1, so verify still fails, one problem short
     Mutant("verify-odd-skips-d1", SPECTRUM, "odd = range(1, n + 1, 2)", "odd = range(3, n + 1, 2)",
-           "tests/test_spectrum.py::TestVerifyAverage",
-           "no test puts mass at d = 1; TestVerifyAverage::test_reports_each_violation should, and "
-           "count its two problems there"),
+           "tests/test_spectrum.py::TestVerifyAverage"),
     # transforms the routes agree on whatever their entries: only the
     # constructors' own tests see a wrong one (the route property cannot)
     Mutant("pac-taps-unreversed", "src/polarspec/pretransform.py", 'int(f"{poly:b}"[::-1], 2)',
@@ -126,6 +127,45 @@ MUTANTS = (
            "(num & -num).bit_length() - 2)", "tests/test_dyadic.py"),
     Mutant("half-even-tie-rounds-up", DYADIC, "if twice > (1 << exp) or (twice == (1 << exp) and q & 1):",
            "if twice >= (1 << exp):", "tests/test_dyadic.py"),
+    # the CLI: each flag reaches its library call, and each refusal its exit code
+    Mutant("pac-builds-identity", CLI, 'transform = pac_transform(config, desc["poly"])',
+           "transform = identity_transform(config)", REPORT_TESTS),
+    Mutant("exact-round-ignored", CLI, "hist, args.round,\n                                   transform=desc",
+           "hist, 6,\n                                   transform=desc", REPORT_TESTS),
+    Mutant("ensemble-round-ignored", CLI,
+           'hist, args.round,\n                                   transform={"kind"',
+           'hist, 6,\n                                   transform={"kind"', REPORT_TESTS),
+    Mutant("out-ignored", CLI, "    if args.out:", "    if False:", REPORT_TESTS),
+    Mutant("usage-error-exits-1", CLI, "        parser.error(str(exc))",
+           '        print(f"error: {exc}", file=sys.stderr)\n        return 1', REPORT_TESTS),
+    Mutant("budget-hint-dropped", CLI,
+           'raise BudgetError(f"{exc}; use --method scl:LIST_SIZE instead") from None', "raise",
+           REPORT_TESTS),
+    Mutant("samples-accepts-zero", CLI, "type=_int_at_least(1), required=True",
+           "type=_int_at_least(0), required=True", REPORT_TESTS),
+    Mutant("file-k-mismatch-unchecked", CLI, "if k is not None and config.k != k:", "if False:",
+           REPORT_TESTS),
+    Mutant("verify-dmax-unchecked", CLI, "if args.verify and dmax != config.n:", "if False:", REPORT_TESTS),
+    Mutant("dmax-range-unchecked", CLI, "if not 1 <= dmax <= config.n:", "if False:", REPORT_TESTS),
+    # construction: the PW key, RM's tie order, and what a config or a file may hold
+    Mutant("pw-score-base-2", CONSTRUCT, "term = math.isqrt(math.isqrt(1 << (j + 4 * p)))",
+           "term = 1 << (j + p)", CONSTRUCT_TESTS),
+    Mutant("rm-ties-in-reverse-pw-order", CONSTRUCT, "order = sorted(_pw_rank(m), key=",
+           "order = sorted(_pw_rank(m)[::-1], key=", CONSTRUCT_TESTS),
+    Mutant("config-accepts-repeats", CONSTRUCT, "info[t] >= info[t + 1]", "info[t] > info[t + 1]",
+           CONSTRUCT_TESTS),
+    # CodeConfig refuses both in other words: only load_info_set's own
+    # messages name the file and line
+    Mutant("load-duplicate-accepted", CONSTRUCT, "if idx in seen:", "if False:", CONSTRUCT_TESTS),
+    Mutant("load-index-range-unchecked", CONSTRUCT, "if not 1 <= idx <= n:", "if False:", CONSTRUCT_TESTS),
+    # the kernel: row indices, butterfly stages, frozen bits and stray rows
+    Mutant("row-index-bound-loose", KERNEL, "if not 1 <= i <= (1 << m):", "if not 1 <= i <= (2 << m):",
+           KERNEL_TESTS),
+    Mutant("stage-mask-short-at-2", KERNEL, "* ((1 << (1 << s)) - 1) for s in range(m))",
+           "* ((1 << (1 << s)) - 1 - (s == 2)) for s in range(m))", KERNEL_TESTS),
+    Mutant("encode-frozen-bit-unchecked", KERNEL, "if i not in transform.rows:", "if False:", KERNEL_TESTS),
+    Mutant("stray-row-unchecked", KERNEL, "    if stray:", "    if False:",
+           "tests/test_scl.py::TestCollectLowWeight::test_transform_of_another_information_set_is_rejected"),
 )
 
 

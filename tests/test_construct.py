@@ -1,4 +1,5 @@
 import hashlib
+import re
 from decimal import Decimal, localcontext
 
 import pytest
@@ -129,11 +130,16 @@ class TestLoadInfoSet:
         p.write_text("4\n1\n3\n")
         assert load_info_set(p, 4).info_set == (1, 3, 4)
 
-    @pytest.mark.parametrize("body", ["4\n4\n", "129\n", "zebra\n", "", "0\n"])
+    # body -> the message after the path, which names the line
+    BAD = {"4\n4\n": ":2: duplicate index 4", "129\n": ":1: index 129 outside [1, 128]",
+           "zebra\n": ":1: not an integer: 'zebra'", "": ": no indices found",
+           "0\n": ":1: index 0 outside [1, 128]"}
+
+    @pytest.mark.parametrize("body", BAD)
     def test_rejects_bad_content(self, tmp_path, body):
         p = tmp_path / "bad.txt"
         p.write_text(body)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"{p}{self.BAD[body]}")):
             load_info_set(p, 128)
 
     def test_missing_file(self, tmp_path):

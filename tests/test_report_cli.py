@@ -19,14 +19,14 @@ from hypothesis import strategies as st
 
 import polarspec
 from polarspec.cli import main
-from polarspec.construct import CodeConfig, construct_pw, construct_rm
+from polarspec.construct import CodeConfig, construct_pw, construct_rm, load_info_set
 from polarspec.oracle import (
     WeightHistogram,
     ensemble_average_exact,
     ensemble_average_mc,
     exact_spectrum,
 )
-from polarspec.pretransform import crc_transform, identity_transform, random_transform
+from polarspec.pretransform import crc_transform, identity_transform, pac_transform, random_transform
 from polarspec.report import (
     CSV_COLUMNS,
     SpectrumReport,
@@ -366,19 +366,11 @@ class TestGoldenFiles:
     """Byte-for-byte serialization pins; regenerate deliberately if the
     format ever changes on purpose."""
 
-    def test_avg_spectrum_json(self, capsys):
-        self.test_every_report_shape(capsys, "avg_rm16_8.json",
-                                     "avg-spectrum --n 16 --k 8 --construction rm --round 4")
-
-    def test_exact_spectrum_csv(self, capsys):
-        self.test_every_report_shape(capsys, "exact_pw16_8_scl8.csv", "exact-spectrum --n 16 --k 8 "
-                                     "--construction pw --transform random:3 --method scl:8 --format csv")
-
-    def test_ensemble_json(self, capsys):
-        self.test_every_report_shape(capsys, "ensemble_pw8_4.json",
-                                     "ensemble --n 8 --k 4 --construction pw --samples 3 --seed 5")
-
     @pytest.mark.parametrize("golden, argv", [
+        ("avg_rm16_8.json", "avg-spectrum --n 16 --k 8 --construction rm --round 4"),
+        ("exact_pw16_8_scl8.csv",
+         "exact-spectrum --n 16 --k 8 --construction pw --transform random:3 --method scl:8 --format csv"),
+        ("ensemble_pw8_4.json", "ensemble --n 8 --k 4 --construction pw --samples 3 --seed 5"),
         ("avg_pw64_16.csv", "avg-spectrum --n 64 --k 16 --construction pw --round 9 --format csv"),
         ("exact_pw16_8_brute.json",
          "exact-spectrum --n 16 --k 8 --construction pw --transform random:3"),
@@ -432,32 +424,156 @@ def test_exhaustive_report_bytes():
     assert _digest(text) == "0293bf0a9eaae06d"
 
 
+@pytest.fixture
+def in_tmp(tmp_path, monkeypatch):
+    """A fresh working directory holding the info-set files the rows name."""
+    monkeypatch.chdir(tmp_path)
+    Path("rows.txt").write_text("# picked by hand\n4\n6\n\n7\n8\n")
+    Path("dup.txt").write_text("4\n4\n")
+
+
+def _average(config, construction, d_max=None, digits=6):
+    return report_from_average(config, construction, avg_spectrum(config, d_max), digits)
+
+
+def _fixed(config, transform, desc, list_size=None, digits=6, construction="pw"):
+    transform = identity_transform(config) if transform is None else transform
+    hist = (exact_spectrum(config, transform) if list_size is None
+            else collect_low_weight(config, transform, list_size))
+    return report_from_histogram(config, construction, hist, digits, transform=desc, list_size=list_size)
+
+
+def _sampled(config, seed, samples, list_size=None, digits=6, construction="pw"):
+    hist = ensemble_average_mc(config, seed, samples, list_size=list_size)
+    return report_from_histogram(config, construction, hist, digits, transform={"kind": "random"},
+                                 list_size=list_size)
+
+
+# random:42 and pac:1011 change the spectrum of PW(32, 12), and the seed
+# its Monte-Carlo average; PW(16, 8) and PW(8, 4) keep theirs under every
+# transform tried
+_PW32 = construct_pw(32, 12)
+_IDENTITY = {"kind": "identity"}
+
+# argv -> the report the library calls build for it; rows.txt holds 4, 6, 7, 8
+ACCEPTED = {
+    "avg-dmax": ("avg-spectrum --n 32 --k 16 --construction pw --dmax 8",
+                 lambda: _average(construct_pw(32, 16), "pw", 8)),
+    "avg-verify": ("avg-spectrum --n 64 --k 32 --construction rm --verify",
+                   lambda: _average(construct_rm(64, 32), "rm")),
+    "avg-round-0": ("avg-spectrum --n 16 --k 8 --construction rm --round 0",
+                    lambda: _average(construct_rm(16, 8), "rm", digits=0)),
+    "avg-file": ("avg-spectrum --n 8 --construction file:rows.txt",
+                 lambda: _average(load_info_set("rows.txt", 8), "file:rows.txt")),
+    "avg-file-k": ("avg-spectrum --n 8 --k 4 --construction file:rows.txt",
+                   lambda: _average(load_info_set("rows.txt", 8), "file:rows.txt")),
+    "avg-out": ("avg-spectrum --n 8 --k 4 --construction pw --out report.txt",
+                lambda: _average(construct_pw(8, 4), "pw")),
+    "exact-identity": ("exact-spectrum --n 16 --k 8 --construction pw",
+                       lambda: _fixed(construct_pw(16, 8), None, _IDENTITY)),
+    "exact-random": ("exact-spectrum --n 32 --k 12 --construction pw --transform random:42",
+                     lambda: _fixed(_PW32, random_transform(_PW32, 42), {"kind": "random", "seed": 42})),
+    "exact-pac": ("exact-spectrum --n 32 --k 12 --construction pw --transform pac:1011",
+                  lambda: _fixed(_PW32, pac_transform(_PW32, "1011"), {"kind": "pac", "poly": "1011"})),
+    "exact-crc": ("exact-spectrum --n 32 --k 8 --construction pw --transform crc:10011,12",
+                  lambda: _fixed(*crc_transform(_PW32, 8, "10011"),
+                                 {"kind": "crc", "poly": "10011", "k_outer": 12})),
+    "exact-scl": ("exact-spectrum --n 32 --k 16 --construction pw --method scl:12",
+                  lambda: _fixed(construct_pw(32, 16), None, _IDENTITY, 12)),
+    "exact-csv-round-3": ("exact-spectrum --n 16 --k 8 --construction rm --format csv --round 3",
+                          lambda: _fixed(construct_rm(16, 8), None, _IDENTITY, digits=3, construction="rm")),
+    "ensemble-seed": ("ensemble --n 32 --k 12 --construction pw --samples 4 --seed 9",
+                      lambda: _sampled(_PW32, 9, 4)),
+    "ensemble-scl": ("ensemble --n 16 --k 8 --construction pw --samples 2 --method scl:4",
+                     lambda: _sampled(construct_pw(16, 8), 0, 2, 4)),
+    "ensemble-file-round-2": ("ensemble --n 8 --construction file:rows.txt --samples 5 --round 2",
+                              lambda: _sampled(load_info_set("rows.txt", 8), 0, 5, digits=2,
+                                               construction="file:rows.txt")),
+}
+
+
+@pytest.mark.parametrize("argv, build", ACCEPTED.values(), ids=ACCEPTED)
+def test_accepted_argv_prints_the_library_report(capsys, in_tmp, argv, build):
+    rc, out, err = run(capsys, *argv.split())
+    report = build()
+    if "--out" in argv:
+        assert out == ""
+        out = Path("report.txt").read_text()
+    assert (rc, err) == (0, "")
+    assert out == (report.to_csv() if "--format csv" in argv else report.to_json())
+
+
+# argv -> what argparse prints after "error: "
+_USAGE_ERRORS = {
+    "n-100": ("avg-spectrum --n 100 --k 4 --construction pw", "--n 100 and --k 4: code length 100"),
+    "k-0": ("avg-spectrum --n 16 --k 0 --construction pw", "--n 16 and --k 0: k=0 outside"),
+    "k-above-n": ("avg-spectrum --n 16 --k 17 --construction rm", "--n 16 and --k 17: k=17 outside"),
+    "k-missing": ("avg-spectrum --n 8 --construction pw", "--k is required with --construction pw"),
+    "unknown-construction": ("avg-spectrum --n 8 --k 4 --construction magic", "unknown construction 'magic'"),
+    # checked before the file is read
+    "file-n-100": ("avg-spectrum --n 100 --construction file:nope.txt", "--n 100: code length 100"),
+    "dmax-0": ("avg-spectrum --n 16 --k 8 --construction rm --dmax 0", "--dmax must be in [1, 16]"),
+    "dmax-above-n": ("avg-spectrum --n 16 --k 8 --construction rm --dmax 17", "--dmax must be in [1, 16]"),
+    "verify-dmax": ("avg-spectrum --n 16 --k 8 --construction rm --dmax 4 --verify",
+                    "--verify needs the full spectrum: set --dmax to N"),
+    "transform-unknown": ("exact-spectrum --n 8 --k 4 --construction pw --transform rot13",
+                          "argument --transform: bad transform 'rot13' (expected"),
+    "crc-no-kprime": ("exact-spectrum --n 32 --k 8 --construction pw --transform crc:10011",
+                      "argument --transform: bad transform 'crc:10011' (expected"),
+    "crc-k-missing": ("exact-spectrum --n 32 --construction pw --transform crc:10011,12",
+                      "--k (message bits) is required with a crc transform"),
+    "crc-kprime-above-n": ("exact-spectrum --n 16 --k 8 --construction pw --transform crc:11,20",
+                           "--n 16 and --transform KPRIME 20: k=20 outside"),
+    "method-unknown": ("exact-spectrum --n 8 --k 4 --construction pw --method sc",
+                       "argument --method: unknown method 'sc'"),
+    "method-scl-zero": ("exact-spectrum --n 8 --k 4 --construction pw --method scl:zero",
+                        "argument --method: invalid int value: 'zero'"),
+    "method-scl-0": ("exact-spectrum --n 8 --k 4 --construction pw --method scl:0",
+                     "argument --method: must be >= 1, got 0"),
+    "samples-0": ("ensemble --n 8 --k 4 --construction pw --samples 0",
+                  "argument --samples: must be >= 1, got 0"),
+    # the samples run in one loop: there is no worker count to set
+    "threads": ("ensemble --n 8 --k 4 --construction pw --samples 2 --threads 2",
+                "unrecognized arguments: --threads 2"),
+}
+# 1 <= --k < KPRIME, and degree(poly) == KPRIME - --k
+_USAGE_ERRORS |= {f"crc-{t}": (f"exact-spectrum --n 16 --k 8 --construction pw --transform crc:{t}",
+                               f"--k 8 and --transform crc:{t}: ") for t in ("11,3", "11,8", "10011,10")}
+_USAGE_ERRORS |= {f"poly-{t}": (f"exact-spectrum --n 16 --k 8 --construction pw --transform {t}",
+                                f"argument --transform: bad transform '{t}': ")
+                  for t in ("pac:zz", "pac:", "pac:0", "pac:0xg", "pac:02", "crc:zz,12", "crc:0x,12")}
+_USAGE_ERRORS |= {f"round-{c}": (f"{c} --n 8 --k 4 --construction pw{extra} --round -2",
+                                 "argument --round: must be >= 0, got -2")
+                  for c, extra in (("avg-spectrum", ""), ("exact-spectrum", ""),
+                                   ("ensemble", " --samples 2"))}
+
+# argv -> (exit code, text its stderr holds): 2 for a bad flag value,
+# 1 for budgets, info-set file contents and I/O
+REFUSED = {name: (argv, 2, f"error: {msg}") for name, (argv, msg) in _USAGE_ERRORS.items()} | {
+    "brute-budget": ("exact-spectrum --n 64 --k 30 --construction pw", 1,
+                     "; use --method scl:LIST_SIZE instead"),
+    "file-k-mismatch": ("avg-spectrum --n 8 --k 3 --construction file:rows.txt", 1,
+                        "error: info-set file has 4 indices, --k says 3"),
+    "file-duplicate": ("avg-spectrum --n 8 --construction file:dup.txt", 1,
+                       "error: dup.txt:2: duplicate index 4"),
+    "file-missing": ("avg-spectrum --n 8 --construction file:nope.txt", 1, "error: [Errno 2] No such file"),
+    "out-unwritable": ("avg-spectrum --n 8 --k 4 --construction pw --out nodir/r.json", 1,
+                       "error: [Errno 2] No such file"),
+}
+
+
+@pytest.mark.parametrize("argv, code, message", REFUSED.values(), ids=REFUSED)
+def test_refused_argv_exits_with_its_code_and_message(capsys, in_tmp, argv, code, message):
+    try:
+        rc = main(argv.split())
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    assert (rc, out) == (code, "")
+    assert message in err
+
+
 class TestAvgSpectrumCommand:
-    def test_dmax_truncates(self, capsys):
-        doc = run_json(
-            capsys, "avg-spectrum", "--n", "32", "--k", "16",
-            "--construction", "pw", "--dmax", "8",
-        )
-        assert [e["d"] for e in doc["entries"]] == list(range(1, 9))
-
-    def test_full_space_average_is_the_exact_spectrum(self, capsys):
-        # rate-1 code has no free transform entries left to average over
-        doc = run_json(
-            capsys, "avg-spectrum", "--n", "2", "--k", "2",
-            "--construction", "rm", "--dmax", "2",
-        )
-        assert [(e["d"], e["num"], e["exp2"]) for e in doc["entries"]] == [
-            (1, "2", 0),
-            (2, "1", 0),
-        ]
-
-    def test_verify_passes(self, capsys):
-        rc, _, err = run(
-            capsys, "avg-spectrum", "--n", "64", "--k", "32",
-            "--construction", "rm", "--verify",
-        )
-        assert rc == 0 and err == ""
-
     def test_verify_failure_exits_1(self, capsys, monkeypatch):
         import polarspec.cli
 
@@ -477,210 +593,9 @@ class TestAvgSpectrumCommand:
             "verify: odd-weight mass 1 at d=3 without row 1",
         ]
 
-    def test_verify_requires_full_range(self, capsys):
-        err = run_usage_error(
-            capsys, "avg-spectrum", "--n", "16", "--k", "8",
-            "--construction", "rm", "--dmax", "4", "--verify",
-        )
-        assert "--dmax" in err
-
-    def test_dmax_out_of_range(self, capsys):
-        run_usage_error(
-            capsys, "avg-spectrum", "--n", "16", "--k", "8",
-            "--construction", "rm", "--dmax", "17",
-        )
-
-    def test_file_construction(self, capsys, tmp_path):
-        path = tmp_path / "rows.txt"
-        path.write_text("# picked by hand\n4\n6\n\n7\n8\n")
-        doc = run_json(
-            capsys, "avg-spectrum", "--n", "8", "--construction", f"file:{path}",
-        )
-        assert doc["code"]["info_set"] == [4, 6, 7, 8]
-        assert doc["code"]["construction"] == f"file:{path}"
-
-    def test_file_construction_k_mismatch(self, capsys, tmp_path):
-        path = tmp_path / "rows.txt"
-        path.write_text("4\n8\n")
-        rc, _, err = run(
-            capsys, "avg-spectrum", "--n", "8", "--k", "3",
-            "--construction", f"file:{path}",
-        )
-        assert rc == 1 and "error:" in err
-
-    def test_missing_file(self, capsys, tmp_path):
-        rc, _, err = run(
-            capsys, "avg-spectrum", "--n", "8",
-            "--construction", f"file:{tmp_path / 'nope.txt'}",
-        )
-        assert rc == 1 and "error:" in err
-
-    def test_unknown_construction(self, capsys):
-        run_usage_error(
-            capsys, "avg-spectrum", "--n", "8", "--k", "4", "--construction", "magic",
-        )
-
-    def test_k_required_for_builtins(self, capsys):
-        run_usage_error(capsys, "avg-spectrum", "--n", "8", "--construction", "pw")
-
-    @pytest.mark.parametrize(
-        "argv,flag",
-        [
-            (("avg-spectrum", "--n", "100", "--k", "4", "--construction", "pw"), "--n"),
-            (("avg-spectrum", "--n", "16", "--k", "0", "--construction", "pw"), "--k"),
-            (("avg-spectrum", "--n", "16", "--k", "17", "--construction", "rm"), "--k"),
-            # KPRIME > N
-            (("exact-spectrum", "--n", "16", "--k", "8", "--construction", "pw",
-              "--transform", "crc:11,20"), "--transform"),
-            # checked before the file is read: an empty file is an exit-1 error
-            (("avg-spectrum", "--n", "100", "--construction", "file:/dev/null"), "--n"),
-        ],
-        ids=["n-100", "k-0", "k-above-n", "kprime-above-n", "file-n-100"],
-    )
-    def test_bad_code_size_is_a_usage_error(self, capsys, argv, flag):
-        assert flag in run_usage_error(capsys, *argv)
-
-
-class TestExactSpectrumCommand:
-    def test_identity_brute_matches_library(self, capsys):
-        doc = run_json(
-            capsys, "exact-spectrum", "--n", "16", "--k", "8", "--construction", "pw",
-        )
-        cfg = construct_pw(16, 8)
-        hist = exact_spectrum(cfg, identity_transform(cfg))
-        assert [int(e["num"]) for e in doc["entries"]] == list(hist.counts)
-        assert doc["transform"] == {"kind": "identity"}
-
-    def test_random_transform_descriptor(self, capsys):
-        doc = run_json(
-            capsys, "exact-spectrum", "--n", "16", "--k", "6",
-            "--construction", "pw", "--transform", "random:42",
-        )
-        assert doc["transform"] == {"kind": "random", "seed": 42}
-        cfg = construct_pw(16, 6)
-        hist = exact_spectrum(cfg, random_transform(cfg, 42))
-        assert [int(e["num"]) for e in doc["entries"]] == list(hist.counts)
-
-    def test_pac_transform(self, capsys):
-        rc, out, _ = run(
-            capsys, "exact-spectrum", "--n", "16", "--k", "8",
-            "--construction", "rm", "--transform", "pac:1011",
-        )
-        assert rc == 0
-        assert json.loads(out)["transform"] == {"kind": "pac", "poly": "1011"}
-
-    def test_crc_transform(self, capsys):
-        # --k is the message size, KPRIME the selected-row count
-        doc = run_json(
-            capsys, "exact-spectrum", "--n", "32", "--k", "8",
-            "--construction", "pw", "--transform", "crc:10011,12",
-        )
-        assert doc["transform"] == {"kind": "crc", "poly": "10011", "k_outer": 12}
-        assert doc["code"]["k"] == 8
-        outer = construct_pw(32, 12)
-        cfg, t = crc_transform(outer, 8, "10011")
-        assert doc["code"]["info_set"] == list(cfg.info_set)
-        hist = exact_spectrum(cfg, t)
-        assert [int(e["num"]) for e in doc["entries"]] == list(hist.counts)
-
-    def test_crc_requires_k(self, capsys):
-        run_usage_error(
-            capsys, "exact-spectrum", "--n", "32", "--construction", "pw",
-            "--transform", "crc:10011,12",
-        )
-
-    def test_crc_needs_kprime(self, capsys):
-        run_usage_error(
-            capsys, "exact-spectrum", "--n", "32", "--k", "8",
-            "--construction", "pw", "--transform", "crc:10011",
-        )
-
-    @pytest.mark.parametrize("transform", ["crc:11,3", "crc:11,8", "crc:10011,10"])
-    def test_crc_flags_that_disagree_are_a_usage_error(self, capsys, transform):
-        # 1 <= --k < KPRIME, and degree(poly) == KPRIME - --k
-        err = run_usage_error(
-            capsys, "exact-spectrum", "--n", "16", "--k", "8",
-            "--construction", "pw", "--transform", transform,
-        )
-        assert "--k" in err and "--transform" in err
-
-    def test_scl_method(self, capsys):
-        doc = run_json(
-            capsys, "exact-spectrum", "--n", "32", "--k", "16",
-            "--construction", "pw", "--method", "scl:12",
-        )
-        assert doc["method"] == "scl" and doc["list_size"] == 12
-        assert all(isinstance(e["saturated"], bool) for e in doc["entries"])
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("--n", "4", "--k", "4", "--construction", "rm"),
-            ("--n", "4", "--k", "3", "--construction", "pw",
-             "--transform", "random:7"),
-        ],
-    )
-    def test_small_instance_brute_and_scl_agree(self, capsys, argv):
-        # list size 16 covers every message, so both methods see the whole code
-        _, brute_out, _ = run(capsys, "exact-spectrum", *argv)
-        _, scl_out, _ = run(capsys, "exact-spectrum", *argv, "--method", "scl:16")
-        brute = {e["d"]: (e["num"], e["exp2"]) for e in json.loads(brute_out)["entries"]}
-        scl = {e["d"]: (e["num"], e["exp2"]) for e in json.loads(scl_out)["entries"]}
-        # the collector surveys nonzero codewords only
-        assert brute.pop(0) == ("1", 0) and scl.pop(0) == ("0", 0)
-        assert brute == scl
-        assert not any(e["saturated"] for e in json.loads(scl_out)["entries"])
-
-    def test_brute_budget_suggests_scl(self, capsys):
-        rc, _, err = run(
-            capsys, "exact-spectrum", "--n", "64", "--k", "30", "--construction", "pw",
-        )
-        assert rc == 1
-        assert "scl:LIST_SIZE" in err
-
-    def test_bad_transform_and_method(self, capsys):
-        run_usage_error(
-            capsys, "exact-spectrum", "--n", "8", "--k", "4",
-            "--construction", "pw", "--transform", "rot13",
-        )
-        run_usage_error(
-            capsys, "exact-spectrum", "--n", "8", "--k", "4",
-            "--construction", "pw", "--method", "scl:zero",
-        )
-        run_usage_error(
-            capsys, "exact-spectrum", "--n", "8", "--k", "4",
-            "--construction", "pw", "--method", "scl:0",
-        )
-
-    @pytest.mark.parametrize(
-        "transform",
-        ["pac:zz", "pac:", "pac:0", "pac:0xg", "pac:02", "crc:zz,12", "crc:0x,12"],
-    )
-    def test_malformed_poly_is_a_usage_error(self, capsys, transform):
-        err = run_usage_error(
-            capsys, "exact-spectrum", "--n", "16", "--k", "8",
-            "--construction", "pw", "--transform", transform,
-        )
-        assert "--transform" in err
 
 
 class TestEnsembleCommand:
-    def test_reports_samples_and_seed(self, capsys):
-        doc = run_json(
-            capsys, "ensemble", "--n", "16", "--k", "6", "--construction", "pw",
-            "--samples", "4", "--seed", "9",
-        )
-        assert doc["samples"] == 4 and doc["seed"] == 9
-        assert doc["method"] == "monte-carlo"
-
-    def test_scl_method_carries_saturation(self, capsys):
-        doc = run_json(
-            capsys, "ensemble", "--n", "16", "--k", "8", "--construction", "pw",
-            "--samples", "2", "--method", "scl:4",
-        )
-        assert doc["list_size"] == 4
-        assert any(e["saturated"] for e in doc["entries"])
-
     def test_degenerate_ensemble_reproduces_the_average_exactly(self, capsys):
         # every transform of this selection yields the same spectrum, so the
         # sampled means must hit the exhaustive average with zero variance
@@ -715,54 +630,3 @@ class TestEnsembleCommand:
             else:
                 assert mean == target
         assert saw_variance
-
-    def test_bad_samples_and_removed_threads_flag(self, capsys):
-        run_usage_error(
-            capsys, "ensemble", "--n", "8", "--k", "4", "--construction", "pw",
-            "--samples", "0",
-        )
-        # the samples run in one loop: there is no worker count to set
-        run_usage_error(
-            capsys, "ensemble", "--n", "8", "--k", "4", "--construction", "pw",
-            "--samples", "2", "--threads", "2",
-        )
-
-
-class TestOutputFlags:
-    def test_out_writes_file_and_keeps_stdout_quiet(self, capsys, tmp_path):
-        dest = tmp_path / "r.json"
-        rc, out, _ = run(
-            capsys, "avg-spectrum", "--n", "8", "--k", "4", "--construction", "pw",
-            "--out", str(dest),
-        )
-        assert rc == 0 and out == ""
-        doc = json.loads(dest.read_text())
-        assert doc["method"] == "recursion"
-
-    def test_csv_and_json_carry_the_same_entries(self, capsys):
-        argv = ["exact-spectrum", "--n", "16", "--k", "8", "--construction", "rm"]
-        _, as_json, _ = run(capsys, *argv, "--format", "json")
-        _, as_csv, _ = run(capsys, *argv, "--format", "csv")
-        doc = json.loads(as_json)
-        rows = as_csv.splitlines()[1:]
-        assert len(rows) == len(doc["entries"])
-        for row, entry in zip(rows, doc["entries"]):
-            d, value, num, exp2 = row.split(",")[:4]
-            assert int(d) == entry["d"]
-            assert value == entry["value"]
-            assert num == entry["num"] and int(exp2) == entry["exp2"]
-
-    @pytest.mark.parametrize("command", ["avg-spectrum", "exact-spectrum", "ensemble"])
-    def test_negative_round_is_a_usage_error(self, capsys, command):
-        argv = [command, "--n", "8", "--k", "4", "--construction", "pw", "--round", "-2"]
-        if command == "ensemble":
-            argv += ["--samples", "2"]
-        err = run_usage_error(capsys, *argv)
-        assert "--round" in err and ">= 0" in err
-
-    def test_round_zero_renders_integers(self, capsys):
-        doc = run_json(
-            capsys, "avg-spectrum", "--n", "16", "--k", "8",
-            "--construction", "rm", "--round", "0",
-        )
-        assert all("." not in e["value"] for e in doc["entries"])

@@ -172,13 +172,17 @@ class TestVerifyAverage:
         cfg = construct_rm(16, 8)  # d_min 4, row 1 frozen
         spec = avg_spectrum(cfg)
         nums = list(spec.nums)
-        nums[1], nums[2] = 1 << spec.exp, 3 << spec.exp  # E[N_2] = 1, E[N_3] = 3
+        # E[N_1] = 1, E[N_2] = 1, E[N_3] = 3: d = 1 is both odd and below d_min
+        nums[:3] = 1 << spec.exp, 1 << spec.exp, 3 << spec.exp
         problems = verify_average(replace(spec, nums=tuple(nums)))
-        assert len(problems) == 4
         assert problems[0].startswith("total mass ")
-        assert "below minimum weight at d=2" in problems[1]
-        assert "below minimum weight at d=3" in problems[2]
-        assert "odd-weight mass 3 at d=3 without row 1" in problems[3]
+        assert problems[1:] == [
+            "nonzero mass 1 below minimum weight at d=1",
+            "nonzero mass 1 below minimum weight at d=2",
+            "nonzero mass 3 below minimum weight at d=3",
+            "odd-weight mass 1 at d=1 without row 1",
+            "odd-weight mass 3 at d=3 without row 1",
+        ]
 
     def test_needs_full_spectrum(self):
         with pytest.raises(ValueError):
