@@ -13,6 +13,9 @@ polarspec exact-spectrum --n 32 --k 12 --construction pw --transform random:3 --
 polarspec ensemble --n 32 --k 12 --construction pw --samples 3 --seed 1 --format csv | diff - tests/golden/ensemble_pw32_12.csv
 polarspec ensemble --n 32 --k 12 --construction pw --samples 3 --seed 2 --method scl:128 | diff - tests/golden/ensemble_pw32_12_scl128.json
 
+# a recursion run loads none of numpy's code: the import-time log names every module imported
+PYTHONPROFILEIMPORTTIME=1 polarspec avg-spectrum --n 16 --k 8 --construction rm 2>&1 >/dev/null | awk '/[|] +numpy/ {bad = 1} /[|] +polarspec[.]spectrum$/ {seen = 1} END {exit bad || !seen}'
+
 # exit 2 for a bad flag value, 1 for a budget
 rc=0; polarspec exact-spectrum --n 16 --k 8 --construction pw --transform pac:zz || rc=$?; test "$rc" = 2
 rc=0; polarspec avg-spectrum --n 100 --construction file:/dev/null || rc=$?; test "$rc" = 2

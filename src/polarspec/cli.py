@@ -6,7 +6,9 @@ as an ArgumentTypeError by a type= callable, by a check over several
 flags, or by wrapping the ValueError of the library call a flag feeds
 (construct_pw / construct_rm, the code length check, crc_transform); 1
 for budgets, info-set file contents and I/O. Compute calls are never
-wrapped: their ValueErrors are runtime failures.
+wrapped: their ValueErrors are runtime failures. Every refusal names its
+command, as in `polarspec avg-spectrum: error: ...`, and a usage error
+prints that command's usage line.
 """
 
 from __future__ import annotations
@@ -94,21 +96,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, help="largest weight to compute (default N)")
     p.add_argument("--verify", action="store_true",
                    help="run internal mass/parity checks (requires --dmax N)")
-    p.set_defaults(func=cmd_avg_spectrum)
+    p.set_defaults(func=cmd_avg_spectrum, parser=p)
 
     p = subs.add_parser("exact-spectrum", parents=[shared],
                         help="spectrum of one fixed pre-transformed code")
     p.add_argument("--transform", type=_transform, default="identity",
                    help="identity | random:SEED | pac:POLY | crc:POLY,KPRIME")
     p.add_argument("--method", type=_method, default="brute", help="brute | scl:LIST_SIZE")
-    p.set_defaults(func=cmd_exact_spectrum)
+    p.set_defaults(func=cmd_exact_spectrum, parser=p)
 
     p = subs.add_parser("ensemble", parents=[shared],
                         help="Monte-Carlo average over random transforms")
     p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--method", type=_method, default="brute", help="brute | scl:LIST_SIZE")
-    p.set_defaults(func=cmd_ensemble)
+    p.set_defaults(func=cmd_ensemble, parser=p)
     return parser
 
 
@@ -208,13 +210,15 @@ def cmd_ensemble(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # argparse would report these as the top-level parser
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     except (BudgetError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{args.parser.prog}: error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -49,11 +49,11 @@ two is the decisive cross-validation and is enforced by the test suite.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import add, index, mul, or_
-
-import numpy as np
 
 from .construct import CodeConfig
 from .kernel import _check_code_transform, polar_transform, row_bits
@@ -82,6 +82,26 @@ MAX_ENUM_BITS = 28  # K + F_red: 2^28 (message, reduced transform) pairs
 # the FOUND line on the heap coupling).
 BLOCK_BITS = 20
 _CHUNK = 1 << 16  # indices per bincount call in _hist_of_block: a 512 KiB intp cast
+
+
+def _lazy_module(name: str):
+    """The module `name`, whose code runs at its first attribute access
+    (importlib's LazyLoader): the recursion never touches numpy, so a run
+    that stays on it never pays numpy's import. A module already imported
+    is returned as it is, and a missing one raises ModuleNotFoundError
+    here, as an import statement would."""
+    if sys.modules.get(name) is not None:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_module("numpy")  # oracle and scl share it; every other module is numpy-free
 
 
 class BudgetError(RuntimeError):

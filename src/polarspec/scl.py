@@ -32,11 +32,9 @@ import math
 from itertools import repeat
 from typing import NamedTuple
 
-import numpy as np
-
 from .construct import CodeConfig
 from .kernel import _check_code_transform
-from .oracle import WeightHistogram, _to_words, _wordcount
+from .oracle import WeightHistogram, _to_words, _wordcount, np
 from .pretransform import PreTransform
 
 __all__ = [

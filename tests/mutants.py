@@ -53,6 +53,7 @@ REPORT, DYADIC = "src/polarspec/report.py", "src/polarspec/dyadic.py"
 CLI, CONSTRUCT, KERNEL = "src/polarspec/cli.py", "src/polarspec/construct.py", "src/polarspec/kernel.py"
 ORACLE_TESTS, REPORT_TESTS = "tests/test_oracle.py", "tests/test_report_cli.py"
 CONSTRUCT_TESTS, KERNEL_TESTS = "tests/test_construct.py", "tests/test_kernel.py"
+COLD_START_TESTS = "tests/test_package.py::TestColdStart"
 
 MUTANTS = (
     # the recursion: its mirror, its coset split and the closed-form p_min
@@ -127,6 +128,12 @@ MUTANTS = (
            "(num & -num).bit_length() - 2)", "tests/test_dyadic.py"),
     Mutant("half-even-tie-rounds-up", DYADIC, "if twice > (1 << exp) or (twice == (1 << exp) and q & 1):",
            "if twice >= (1 << exp):", "tests/test_dyadic.py"),
+    # numpy's code runs only once a route that uses it starts, a numpy
+    # imported before is shared, and a missing numpy still fails the import
+    Mutant("numpy-eager", ORACLE, 'np = _lazy_module("numpy")', "import numpy as np", COLD_START_TESTS),
+    Mutant("imported-numpy-replaced", ORACLE, "if sys.modules.get(name) is not None:", "if False:",
+           COLD_START_TESTS),
+    Mutant("missing-numpy-unchecked", ORACLE, "    if spec is None:", "    if False:", COLD_START_TESTS),
     # the CLI: each flag reaches its library call, and each refusal its exit code
     Mutant("pac-builds-identity", CLI, 'transform = pac_transform(config, desc["poly"])',
            "transform = identity_transform(config)", REPORT_TESTS),
@@ -136,8 +143,12 @@ MUTANTS = (
            'hist, args.round,\n                                   transform={"kind"',
            'hist, 6,\n                                   transform={"kind"', REPORT_TESTS),
     Mutant("out-ignored", CLI, "    if args.out:", "    if False:", REPORT_TESTS),
-    Mutant("usage-error-exits-1", CLI, "        parser.error(str(exc))",
+    Mutant("usage-error-exits-1", CLI, "        args.parser.error(str(exc))",
            '        print(f"error: {exc}", file=sys.stderr)\n        return 1', REPORT_TESTS),
+    Mutant("usage-error-names-no-command", CLI, "args.parser.error(str(exc))", "parser.error(str(exc))",
+           REPORT_TESTS),
+    Mutant("unknown-flag-names-no-command", CLI, 'args.parser.error(f"unrecognized',
+           'parser.error(f"unrecognized', REPORT_TESTS),
     Mutant("budget-hint-dropped", CLI,
            'raise BudgetError(f"{exc}; use --method scl:LIST_SIZE instead") from None', "raise",
            REPORT_TESTS),

@@ -10,6 +10,7 @@ import sys
 from collections import OrderedDict
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -241,13 +242,15 @@ _SOURCES = ("recursion", "brute", "exhaustive-ensemble", "scl", "monte-carlo")
 
 
 @st.composite
-def _reports(draw) -> SpectrumReport:
-    """A report of any shape, built the way the CLI builds it."""
+def _reports(draw) -> partial:
+    """A call that builds a report of any shape, the way the CLI builds
+    it; the test makes the call, so a builder's fault fails the test, not
+    the module's collection."""
     config, construction, digits = draw(_CONFIG), draw(_TRICKY), draw(st.integers(0, 9))
     source, nums = draw(st.sampled_from(_SOURCES)), tuple(draw(_NUMS))
     if source == "recursion":
         spec = AverageSpectrum(config, draw(st.integers(0, 80)), nums)
-        return report_from_average(config, construction, spec, digits)
+        return partial(report_from_average, config, construction, spec, digits)
     flags = st.lists(st.booleans(), min_size=len(nums), max_size=len(nums)).map(tuple)
     if source == "monte-carlo":
         # per-sample counts, summed as ensemble_average_mc sums them
@@ -263,8 +266,8 @@ def _reports(draw) -> SpectrumReport:
         samples = 1 << draw(st.integers(0, 40)) if source == "exhaustive-ensemble" else 1
         hist = WeightHistogram(source, nums, samples=samples,
                                saturated=draw(flags) if source == "scl" else None)
-    return report_from_histogram(config, construction, hist, digits, transform=draw(_TRANSFORM),
-                                 list_size=draw(st.none() | st.integers(1, 5000)))
+    return partial(report_from_histogram, config, construction, hist, digits, transform=draw(_TRANSFORM),
+                   list_size=draw(st.none() | st.integers(1, 5000)))
 
 
 def _csv_of(entries: list[dict]) -> str:
@@ -283,17 +286,18 @@ _PW = construct_pw(8, 4)
 
 
 @given(_reports())
-@example(report_from_histogram(
-    CodeConfig(3, (8,)), 'a,\n  "b": {é}\\', WeightHistogram("brute", (1, 0)),
+@example(partial(
+    report_from_histogram, CodeConfig(3, (8,)), 'a,\n  "b": {é}\\', WeightHistogram("brute", (1, 0)),
     transform={"kind": "pac", "poly": '\n},\n  {"漢"', "": "[]", "k_outer": 3},
 ))
 # past ~50000 items json's C encoder hands back several chunks
-@example(report_from_average(CodeConfig(17, tuple(range(1, 70_002))), "x",
-                             AverageSpectrum(_PW, 0, (1,))))
-@example(report_from_histogram(_PW, "x", WeightHistogram("scl", (1, 2), saturated=(0, 1)), 0,
-                               transform={"t": [{"a": 1}, {}, {"b": 2}]}))
-@example(report_from_average(_PW, "pw", AverageSpectrum(_PW, 7, (_BIG, 0, 5 << 6)), 9))
-def test_to_json_matches_json_dumps(rep):
+@example(partial(report_from_average, CodeConfig(17, tuple(range(1, 70_002))), "x",
+                 AverageSpectrum(_PW, 0, (1,))))
+@example(partial(report_from_histogram, _PW, "x", WeightHistogram("scl", (1, 2), saturated=(0, 1)), 0,
+                 transform={"t": [{"a": 1}, {}, {"b": 2}]}))
+@example(partial(report_from_average, _PW, "pw", AverageSpectrum(_PW, 7, (_BIG, 0, 5 << 6)), 9))
+def test_to_json_matches_json_dumps(build):
+    rep = build()
     assert_same_text(rep.to_json(), json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n")
     assert rep.to_csv() == _csv_of(rep.to_dict()["entries"])
 
@@ -548,18 +552,19 @@ _USAGE_ERRORS |= {f"round-{c}": (f"{c} --n 8 --k 4 --construction pw{extra} --ro
                                    ("ensemble", " --samples 2"))}
 
 # argv -> (exit code, text its stderr holds): 2 for a bad flag value,
-# 1 for budgets, info-set file contents and I/O
-REFUSED = {name: (argv, 2, f"error: {msg}") for name, (argv, msg) in _USAGE_ERRORS.items()} | {
-    "brute-budget": ("exact-spectrum --n 64 --k 30 --construction pw", 1,
-                     "; use --method scl:LIST_SIZE instead"),
-    "file-k-mismatch": ("avg-spectrum --n 8 --k 3 --construction file:rows.txt", 1,
-                        "error: info-set file has 4 indices, --k says 3"),
-    "file-duplicate": ("avg-spectrum --n 8 --construction file:dup.txt", 1,
-                       "error: dup.txt:2: duplicate index 4"),
-    "file-missing": ("avg-spectrum --n 8 --construction file:nope.txt", 1, "error: [Errno 2] No such file"),
-    "out-unwritable": ("avg-spectrum --n 8 --k 4 --construction pw --out nodir/r.json", 1,
-                       "error: [Errno 2] No such file"),
+# 1 for budgets, info-set file contents and I/O; each names its command
+_AT_1 = {
+    "brute-budget": ("exact-spectrum --n 64 --k 30 --construction pw",
+                     "K + F_red = 30 + 0 exceeds enumeration budget 28; use --method scl:LIST_SIZE instead"),
+    "file-k-mismatch": ("avg-spectrum --n 8 --k 3 --construction file:rows.txt",
+                        "info-set file has 4 indices, --k says 3"),
+    "file-duplicate": ("avg-spectrum --n 8 --construction file:dup.txt", "dup.txt:2: duplicate index 4"),
+    "file-missing": ("avg-spectrum --n 8 --construction file:nope.txt", "[Errno 2] No such file"),
+    "out-unwritable": ("avg-spectrum --n 8 --k 4 --construction pw --out nodir/r.json",
+                       "[Errno 2] No such file"),
 }
+REFUSED = {name: (argv, code, f"polarspec {argv.split()[0]}: error: {msg}")
+           for code, rows in ((2, _USAGE_ERRORS), (1, _AT_1)) for name, (argv, msg) in rows.items()}
 
 
 @pytest.mark.parametrize("argv, code, message", REFUSED.values(), ids=REFUSED)
