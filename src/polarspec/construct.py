@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import index, lt
 from pathlib import Path
 
 from .kernel import row_weight
@@ -20,18 +21,23 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class CodeConfig:
-    """A code of length N = 2^m with a sorted 1-based information set."""
+    """A code of length N = 2^m with a sorted 1-based information set.
+
+    Construction stores m and the indices as Python ints (operator.index:
+    numpy integers too, floats refused), never the caller's sequence.
+    """
 
     m: int
     info_set: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "m", index(self.m))
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        info = tuple(self.info_set)
+        info = tuple(map(index, self.info_set))
         if not info:
             raise ValueError("information set is empty")
-        if any(info[t] >= info[t + 1] for t in range(len(info) - 1)):
+        if not all(map(lt, info, info[1:])):
             raise ValueError("information set must be strictly increasing")
         if info[0] < 1 or info[-1] > self.n:
             raise ValueError(f"information set indices outside [1, {self.n}]")
@@ -88,6 +94,17 @@ def _pw_rank(m: int) -> tuple[int, ...]:
     return tuple(sorted(range(1, (1 << m) + 1), key=lambda i: keys[i - 1], reverse=True))
 
 
+@functools.cache
+def _rm_rank(m: int) -> tuple[int, ...]:
+    """All channel indices 1..2^m, heaviest row first, a weight class in
+    descending PW order: the stable sort of _pw_rank(m) by row weight.
+
+    Row weight is 2^popcount(i - 1), so popcount orders the rows alike.
+    Computed once per m, as _pw_rank is.
+    """
+    return tuple(sorted(_pw_rank(m), key=lambda i: -(i - 1).bit_count()))
+
+
 def construct_pw(n: int, k: int) -> CodeConfig:
     """Top-k channels by polarization weight with base 2^(1/4).
 
@@ -109,9 +126,7 @@ def construct_rm(n: int, k: int) -> CodeConfig:
     m = _m_of(n)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
-    # row weight is 2^popcount(i-1), so popcount orders the rows alike
-    order = sorted(_pw_rank(m), key=lambda i: -(i - 1).bit_count())
-    return CodeConfig(m, tuple(sorted(order[:k])))
+    return CodeConfig(m, tuple(sorted(_rm_rank(m)[:k])))
 
 
 def load_info_set(path: str | Path, n: int) -> CodeConfig:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import index
 from types import MappingProxyType
 
 from .construct import CodeConfig
@@ -73,15 +74,18 @@ class PreTransform:
     packed as an integer whose bit j-1 is T_{ij}; only columns j > i may
     be set. The diagonal is implicit. Rows of frozen indices are not
     stored: frozen inputs are zero, so those rows never touch a codeword.
-    rows is a read-only copy of the mapping passed in, so the checks hold
-    for the transform's life.
+    rows is a read-only copy of the mapping passed in, its keys and masks
+    Python ints (operator.index: numpy integers too, floats refused), so
+    the checks hold for the transform's life.
     """
 
     n: int
     rows: Mapping[int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", MappingProxyType(dict(self.rows)))
+        object.__setattr__(self, "n", index(self.n))
+        rows = {index(i): index(mask) for i, mask in self.rows.items()}
+        object.__setattr__(self, "rows", MappingProxyType(rows))
         for i, mask in self.rows.items():
             if not 1 <= i <= self.n:
                 raise ValueError(f"row index {i} outside [1, {self.n}]")

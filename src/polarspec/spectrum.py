@@ -21,7 +21,10 @@ its midpoint by bisection. Branches of length 2^TABLE_LEVEL = 64 and
 below are leaves: they read their cosets' full enumerators from a table,
 built once per process with the same two maps (~3 ms at level 6, ~25 ms
 at level 7, a cost every one-shot CLI run pays) and stored by column,
-so a leaf sums each weight's column over its rows in one call.
+so a leaf sums each weight's column over its rows in one call. It sums
+only the columns its rows reach: a row's weight is its coset's minimum,
+so columns below the lightest row are zero, and coset 1 alone is odd,
+so a leaf without it sums every other column.
 
 A row's weight 2^e travels as its exponent e, down to the leaf that adds
 the row and shifts its table entries by e, so no list of weights is
@@ -147,15 +150,18 @@ def _coset_table(level: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*low, *high))
 
 
-def _weighted_sum(level: int, rows: list[tuple[int, int]], d_max: int) -> list[int]:
-    """Coefficients 0..d_max of the sum of 2^e * S_i over (i, e) in rows.
+def _weighted_sum(level: int, info: tuple[int, ...], d_max: int, start: int = 1) -> list[int]:
+    """Coefficients 0..d_max of the sum of 2^(i - j) * S_i, row i the
+    j-th of info counted from start.
 
-    S_i is the weight enumerator of coset i at length 2^level; rows ascend
-    by index. Coset i has no member lighter than row i, so rows heavier
-    than d_max add nothing and are dropped here, once. The rest pass down
-    as (i, e) pairs, and the table leaves shift their entries by e.
+    S_i is the weight enumerator of coset i at length 2^level; info
+    ascends. Coset i has no member lighter than row i, so rows heavier
+    than d_max add nothing and are dropped here, once, in the pass that
+    pairs the rest with their exponents; the table leaves shift their
+    entries by them.
     """
-    light = [(i, e) for i, e in rows if 1 << (i - 1).bit_count() <= d_max]
+    cap = d_max.bit_length() - 1  # 2^popcount(i - 1) <= d_max
+    light = [(i, i - j) for j, i in enumerate(info, start) if (i - 1).bit_count() <= cap]
     return _branch_sum(level, 0, light, d_max)
 
 
@@ -177,15 +183,20 @@ def _branch_sum(level: int, base: int, rows: list[tuple[int, int]], d_max: int) 
     branches holding a row.
     """
     if level <= TABLE_LEVEL:
+        out = [0] * (d_max + 1)
         if not rows:
-            return [0] * (d_max + 1)
-        cols = _coset_table(level)[: d_max + 1]
+            return out
+        at = [i - base - 1 for i, _ in rows]  # coset i - base is table entry i - base - 1
+        # no coset is lighter than its row, and only coset 1 (entry 0) is odd
+        reach = slice(1 << min(map(int.bit_count, at)), d_max + 1, 2 if at[0] else 1)
+        cols = _coset_table(level)[reach]
         if len(rows) == 1:  # itemgetter of one index returns the item, not a tuple
-            (i, e), = rows
-            return [col[i - base - 1] << e for col in cols]
-        get = itemgetter(*(i - base - 1 for i, _ in rows))
-        es = [e for _, e in rows]
-        return [sum(map(lshift, get(col), es)) for col in cols]
+            (c,), ((_, e),) = at, rows
+            out[reach] = [col[c] << e for col in cols]
+        else:
+            get, es = itemgetter(*at), [e for _, e in rows]
+            out[reach] = [sum(map(lshift, get(col), es)) for col in cols]
+        return out
     n, half = 1 << level, 1 << (level - 1)
     if d_max > half:
         top = bisect_left(rows, base + n, key=itemgetter(0))  # rows[top] is row n if present
@@ -215,7 +226,7 @@ def coset_spectrum(m: int, i: int, d_max: int | None = None) -> tuple[int, ...]:
         d_max = n
     if not 0 <= d_max <= n:
         raise ValueError(f"d_max {d_max} outside [0, {n}]")
-    return tuple(_weighted_sum(m, [(i, 0)], d_max))
+    return tuple(_weighted_sum(m, (i,), d_max, start=i))
 
 
 def p_exact(m: int, i: int, d: int) -> DyadicRational:
@@ -256,8 +267,7 @@ def avg_spectrum(config: CodeConfig, d_max: int | None = None) -> AverageSpectru
         d_max = n
     if not 1 <= d_max <= n:
         raise ValueError(f"d_max {d_max} outside [1, {n}]")
-    rows = [(i, i - j) for j, i in enumerate(config.info_set, start=1)]
-    return AverageSpectrum(config, n - k, tuple(_weighted_sum(m, rows, d_max)[1:]))
+    return AverageSpectrum(config, n - k, tuple(_weighted_sum(m, config.info_set, d_max)[1:]))
 
 
 def avg_nmin(config: CodeConfig) -> tuple[int, DyadicRational]:

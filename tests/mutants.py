@@ -60,6 +60,12 @@ MUTANTS = (
     Mutant("mirror-slice-shifted", SPECTRUM, "out[n - d_max : half][::-1]",
            "out[n - d_max + 1 : half + 1][::-1]"),
     Mutant("coset-split-bisect-left", SPECTRUM, "mid = bisect_right(", "mid = bisect_left("),
+    # the light-row filter and the table leaf's reach: rows of weight d_max
+    # count, and a leaf holding coset 1 sums its odd columns
+    Mutant("light-filter-strict", SPECTRUM, "(i - 1).bit_count() <= cap]", "(i - 1).bit_count() < cap]"),
+    Mutant("leaf-skips-odd-columns", SPECTRUM, "2 if at[0] else 1", "2"),
+    Mutant("leaf-starts-at-heaviest-row", SPECTRUM, "1 << min(map(int.bit_count, at))",
+           "1 << max(map(int.bit_count, at))"),
     Mutant("p-min-off-at-level-3", SPECTRUM, "e += half - (1 << (idx - 1).bit_count())",
            "e += half - (1 << (idx - 1).bit_count()) + (level == 3)"),
     # the enumeration walk: Gray steps, in-block entries, pairing, the zero word
@@ -161,10 +167,16 @@ MUTANTS = (
     # construction: the PW key, RM's tie order, and what a config or a file may hold
     Mutant("pw-score-base-2", CONSTRUCT, "term = math.isqrt(math.isqrt(1 << (j + 4 * p)))",
            "term = 1 << (j + p)", CONSTRUCT_TESTS),
-    Mutant("rm-ties-in-reverse-pw-order", CONSTRUCT, "order = sorted(_pw_rank(m), key=",
-           "order = sorted(_pw_rank(m)[::-1], key=", CONSTRUCT_TESTS),
-    Mutant("config-accepts-repeats", CONSTRUCT, "info[t] >= info[t + 1]", "info[t] > info[t + 1]",
-           CONSTRUCT_TESTS),
+    Mutant("rm-ties-in-reverse-pw-order", CONSTRUCT, "sorted(_pw_rank(m), key=",
+           "sorted(_pw_rank(m)[::-1], key=", CONSTRUCT_TESTS),
+    Mutant("config-accepts-repeats", CONSTRUCT, "all(map(lt, info, info[1:]))",
+           "all(map(lambda a, b: a <= b, info, info[1:]))", CONSTRUCT_TESTS),
+    # numpy integers must become Python ints, and floats be refused, at construction
+    Mutant("config-index-pass-dropped", CONSTRUCT, "info = tuple(map(index, self.info_set))",
+           "info = tuple(self.info_set)", CONSTRUCT_TESTS),
+    Mutant("transform-index-pass-dropped", "src/polarspec/pretransform.py",
+           "rows = {index(i): index(mask) for i, mask in self.rows.items()}", "rows = dict(self.rows)",
+           "tests/test_pretransform.py"),
     # CodeConfig refuses both in other words: only load_info_set's own
     # messages name the file and line
     Mutant("load-duplicate-accepted", CONSTRUCT, "if idx in seen:", "if False:", CONSTRUCT_TESTS),

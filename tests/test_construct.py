@@ -2,17 +2,21 @@ import hashlib
 import re
 from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 
 from polarspec.construct import (
     CodeConfig,
     _pw_rank,
+    _rm_rank,
     construct_pw,
     construct_rm,
     load_info_set,
     min_row_weight,
 )
 from polarspec.kernel import row_weight
+from polarspec.report import report_from_average
+from polarspec.spectrum import avg_spectrum
 
 
 class TestCodeConfig:
@@ -27,6 +31,17 @@ class TestCodeConfig:
     )
     def test_rejects_bad_configs(self, m, info):
         with pytest.raises(ValueError):
+            CodeConfig(m, info)
+
+    def test_numpy_ints_become_python_ints_that_report(self):
+        cfg, plain = CodeConfig(np.int64(3), np.array([1, 2, 4])), CodeConfig(3, (1, 2, 4))
+        assert [type(x) for x in (cfg.m, *cfg.info_set)] == [int] * 4
+        reports = [report_from_average(c, "file", avg_spectrum(c)).to_json() for c in (cfg, plain)]
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("m,info", [(3, (1, 2.5, 4)), (3, (1.0, 2, 4)), (3.0, (1, 2, 4))])
+    def test_rejects_floats(self, m, info):
+        with pytest.raises(TypeError):
             CodeConfig(m, info)
 
 
@@ -181,6 +196,23 @@ PW_RANK_DIGESTS = {
 def test_pw_rank_pinned(m):
     digest = hashlib.sha256(repr(_pw_rank(m)).encode()).hexdigest()[:16]
     assert digest == PW_RANK_DIGESTS[m]
+
+
+# sha256 prefixes of repr(_rm_rank(m)), recorded from the stable sort by
+# popcount that construct_rm made on every call before the ranking was cached
+RM_RANK_DIGESTS = {
+    1: "34e6f08aad18ac98", 2: "f789caa0094510d5", 3: "422680d5f1313ceb",
+    4: "bffd299ba2aeee96", 5: "f080ec69f5a43a25", 6: "42b2c6ba4913bd94",
+    7: "7f0a4d4d74b4a956", 8: "fe14003825afc9b2", 9: "4323245bf963436f",
+    10: "802f653ebbe94164", 11: "3d7de2c82e19879b", 12: "3602cf75f9b7a851",
+    13: "9e872533f9a69e38", 14: "a9c748ca69fc2dc4",
+}
+
+
+@pytest.mark.parametrize("m", sorted(RM_RANK_DIGESTS))
+def test_rm_rank_pinned(m):
+    digest = hashlib.sha256(repr(_rm_rank(m)).encode()).hexdigest()[:16]
+    assert digest == RM_RANK_DIGESTS[m]
 
 
 @pytest.mark.parametrize("m", range(1, 15))

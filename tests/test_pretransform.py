@@ -1,8 +1,10 @@
 import re
 
+import numpy as np
 import pytest
 
 from polarspec.construct import CodeConfig, construct_pw, construct_rm
+from polarspec.oracle import exact_spectrum
 from polarspec.pretransform import (
     PreTransform,
     SplitMix64,
@@ -15,6 +17,7 @@ from polarspec.pretransform import (
     random_transform,
     transform_from_bits,
 )
+from polarspec.scl import collect_low_weight
 
 
 class TestSplitMix64:
@@ -91,6 +94,19 @@ class TestPreTransform:
         rows[8] = 1
         assert t.rows == dict.fromkeys(cfg.info_set, 0)
         assert t == identity_transform(cfg)
+
+    def test_numpy_ints_become_python_ints_that_decode(self):
+        cfg = construct_pw(8, 4)
+        plain = PreTransform(8, {4: 0b10100000, 6: 0b10000000, 7: 0, 8: 0})
+        t = PreTransform(np.int64(8), {np.int64(i): np.int64(mask) for i, mask in plain.rows.items()})
+        assert [type(x) for x in (t.n, *t.rows, *t.rows.values())] == [int] * 9
+        assert exact_spectrum(cfg, t) == exact_spectrum(cfg, plain)
+        assert collect_low_weight(cfg, t, 16) == collect_low_weight(cfg, plain, 16)
+
+    @pytest.mark.parametrize("n,rows", [(8.0, {8: 0}), (8, {8.0: 0}), (8, {4: 128.0})])
+    def test_rejects_floats(self, n, rows):
+        with pytest.raises(TypeError):
+            PreTransform(n, rows)
 
 
 def test_free_entry_count():
