@@ -186,15 +186,14 @@ def _branch_sum(level: int, base: int, rows: list[tuple[int, int]], d_max: int) 
         out = [0] * (d_max + 1)
         if not rows:
             return out
-        at = [i - base - 1 for i, _ in rows]  # coset i - base is table entry i - base - 1
+        at, es = [i - base - 1 for i, _ in rows], [e for _, e in rows]  # table entries, exponents
         # no coset is lighter than its row, and only coset 1 (entry 0) is odd
         reach = slice(1 << min(map(int.bit_count, at)), d_max + 1, 2 if at[0] else 1)
         cols = _coset_table(level)[reach]
         if len(rows) == 1:  # itemgetter of one index returns the item, not a tuple
-            (c,), ((_, e),) = at, rows
-            out[reach] = [col[c] << e for col in cols]
+            out[reach] = [col[at[0]] << es[0] for col in cols]
         else:
-            get, es = itemgetter(*at), [e for _, e in rows]
+            get = itemgetter(*at)
             out[reach] = [sum(map(lshift, get(col), es)) for col in cols]
         return out
     n, half = 1 << level, 1 << (level - 1)
