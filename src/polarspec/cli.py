@@ -9,6 +9,13 @@ for budgets, info-set file contents and I/O. Compute calls are never
 wrapped: their ValueErrors are runtime failures. Every refusal names its
 command, as in `polarspec avg-spectrum: error: ...`, and a usage error
 prints that command's usage line.
+
+When argv[0] names a command, main parses the rest with that command's
+own parser, as the top-level parser would hand it on; the top-level
+parser sees only the other argv (no command, an unknown one, or a flag
+first), so each run pays for one parse, with the same usage, help and
+error texts. A report goes to stdout, or to --out in one binary write:
+LF line ends on every platform.
 """
 
 from __future__ import annotations
@@ -75,7 +82,8 @@ def _transform(text: str) -> dict:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's own parser by name."""
     shared = argparse.ArgumentParser(add_help=False)  # every command's code and output flags
     shared.add_argument("--n", type=int, required=True, help="block length, a power of two")
     shared.add_argument("--k", type=int, help="code dimension (message bits)")
@@ -90,28 +98,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact and simulated weight spectra of pre-transformed polar codes.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = subs.add_parser("avg-spectrum", parents=[shared],
-                        help="exact ensemble-average spectrum (recursion)")
+    p = commands["avg-spectrum"] = subs.add_parser("avg-spectrum", parents=[shared],
+                                          help="exact ensemble-average spectrum (recursion)")
     p.add_argument("--dmax", type=int, help="largest weight to compute (default N)")
     p.add_argument("--verify", action="store_true",
                    help="run internal mass/parity checks (requires --dmax N)")
     p.set_defaults(func=cmd_avg_spectrum, parser=p)
 
-    p = subs.add_parser("exact-spectrum", parents=[shared],
-                        help="spectrum of one fixed pre-transformed code")
+    p = commands["exact-spectrum"] = subs.add_parser("exact-spectrum", parents=[shared],
+                                          help="spectrum of one fixed pre-transformed code")
     p.add_argument("--transform", type=_transform, default="identity",
                    help="identity | random:SEED | pac:POLY | crc:POLY,KPRIME")
     p.add_argument("--method", type=_method, default="brute", help="brute | scl:LIST_SIZE")
     p.set_defaults(func=cmd_exact_spectrum, parser=p)
 
-    p = subs.add_parser("ensemble", parents=[shared],
-                        help="Monte-Carlo average over random transforms")
+    p = commands["ensemble"] = subs.add_parser("ensemble", parents=[shared],
+                                          help="Monte-Carlo average over random transforms")
     p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--method", type=_method, default="brute", help="brute | scl:LIST_SIZE")
     p.set_defaults(func=cmd_ensemble, parser=p)
-    return parser
+    return parser, commands
 
 
 def _construct(spec: str, n: int, k: int | None, k_flag: str = "--k") -> CodeConfig:
@@ -140,9 +149,9 @@ def _construct(spec: str, n: int, k: int | None, k_flag: str = "--k") -> CodeCon
 
 def _emit(report: SpectrumReport, args) -> int:
     text = report.to_json() if args.format == "json" else report.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if args.out:  # one binary write: LF line ends on every platform
+        with open(args.out, "wb") as fh:
+            fh.write(text.encode())
     else:
         sys.stdout.write(text)
     return 0
@@ -209,8 +218,12 @@ def cmd_ensemble(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args, unknown = parser.parse_known_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in commands:  # the command's own parser, as the top-level one would call it
+        args, unknown = commands[argv[0]].parse_known_args(argv[1:])
+    else:  # no command, an unknown one, or a flag first
+        args, unknown = parser.parse_known_args(argv)
     if unknown:  # argparse would report these as the top-level parser
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:

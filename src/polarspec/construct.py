@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from operator import index, lt
 from pathlib import Path
 
@@ -24,13 +24,19 @@ class CodeConfig:
     """A code of length N = 2^m with a sorted 1-based information set.
 
     Construction stores m and the indices as Python ints (operator.index:
-    numpy integers too, floats refused), never the caller's sequence.
+    numpy integers too, floats refused), never the caller's sequence, and
+    checks them. construct_pw and construct_rm alone pass _ranked=True:
+    their sets are sorted plain ints taken from a ranking of 1..2^m, so
+    the checks are skipped.
     """
 
     m: int
     info_set: tuple[int, ...]
+    _ranked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _ranked: bool):
+        if _ranked:
+            return
         object.__setattr__(self, "m", index(self.m))
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
@@ -114,7 +120,7 @@ def construct_pw(n: int, k: int) -> CodeConfig:
     m = _m_of(n)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
-    return CodeConfig(m, tuple(sorted(_pw_rank(m)[:k])))
+    return CodeConfig(m, tuple(sorted(_pw_rank(m)[:k])), _ranked=True)
 
 
 def construct_rm(n: int, k: int) -> CodeConfig:
@@ -126,7 +132,7 @@ def construct_rm(n: int, k: int) -> CodeConfig:
     m = _m_of(n)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
-    return CodeConfig(m, tuple(sorted(_rm_rank(m)[:k])))
+    return CodeConfig(m, tuple(sorted(_rm_rank(m)[:k])), _ranked=True)
 
 
 def load_info_set(path: str | Path, n: int) -> CodeConfig:

@@ -4,38 +4,37 @@ Every probability and expected count produced by the recursion engine is
 dyadic. Exact results travel as integer numerators over one power of two
 (AverageSpectrum.nums over 2^exp, WeightHistogram.counts over samples).
 lowest_terms reduces one such pair, and int_text and decimal_text render
-it as text; reports call them directly. DyadicRational holds one value
-in lowest terms, for reading a single entry. It carries no arithmetic
-and no ordering: work on the integers, or take to_fraction().
+it as text; reports call them directly. int_text is str() except past
+CPython's digit limit, and decimal_text rounds half to even from the bit
+below the last one kept (the half bit) and a test of the bits under it.
+DyadicRational holds one value in lowest terms, for reading a single
+entry. It carries no arithmetic and no ordering: work on the integers, or
+take to_fraction().
 """
 
 from __future__ import annotations
 
 import operator
-import sys
 from fractions import Fraction
 
 __all__ = ["DyadicRational"]
 
 
-# CPython before 3.10.7 has no limit and no getter
-_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
 def int_text(x: int) -> str:
     """str(x) for an int x >= 0 of any size.
 
-    CPython refuses str() past sys.get_int_max_str_digits() digits (4300
-    by default); above that limit x is split by powers 10^(2^k) into
-    pieces that fit, and the process-wide limit is left as it is.
+    CPython's str() raises ValueError past sys.get_int_max_str_digits()
+    digits (4300 by default); only then is x split by powers 10^(2^k)
+    into pieces that str() takes, and the process-wide limit is left as
+    it is.
     """
-    limit = _max_str_digits()
-    # x has at most bound + 1 digits, as 0.30103 > log10(2)
-    bound = x.bit_length() * 30103 // 100000
-    if not limit or bound < limit:
+    try:
         return str(x)
-    # the low piece takes a quarter to a half of the digits
-    width = 1 << (bound.bit_length() - 2)
+    except ValueError:
+        pass
+    # x has at most bound + 1 digits, as 0.30103 > log10(2); the low piece
+    # takes a quarter to a half of them
+    width = 1 << ((x.bit_length() * 30103 // 100000).bit_length() - 2)
     hi, lo = divmod(x, 10**width)
     return int_text(hi) + int_text(lo).rjust(width, "0")
 
@@ -59,8 +58,8 @@ def decimal_text(num: int, exp: int, digits: int) -> str:
         raise ValueError("digits must be >= 0")
     scaled = num * 10**digits
     q = scaled >> exp
-    twice = (scaled & ((1 << exp) - 1)) << 1
-    if twice > (1 << exp) or (twice == (1 << exp) and q & 1):
+    # past half (the half bit and a sticky bit under it) rounds up, and a tie to even
+    if exp and scaled >> (exp - 1) & 1 and (q & 1 or scaled & ((1 << (exp - 1)) - 1)):
         q += 1
     if digits == 0:
         return int_text(q)

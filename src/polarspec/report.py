@@ -13,7 +13,10 @@ value); Monte-Carlo entries (d, samples, value, variance) render the
 mean and the unbiased variance from the histogram's integer totals and
 squares. Saturation flags add "saturated" just before "value": the
 sorted key order, so each row is written through one template for its
-shape.
+shape. The code block is one template too, filled with the construction
+(json's string encoding) and the information set, one index per line; the
+metadata (method, transform, samples, seed, list_size) is small and goes
+through json.dumps itself.
 """
 
 from __future__ import annotations
@@ -38,6 +41,11 @@ CSV_COLUMNS = ("d", "value_decimal", "num", "exp2", "variance", "samples", "satu
 _EXACT = ("d", "exp2", "num", "value")
 _MONTE_CARLO = ("d", "samples", "value", "variance")
 _QUOTED = {"num", "value", "variance"}  # decimal strings: digits, "." and "-" only
+# the code block at depth 1, keys sorted, and its info_set items one per
+# line: json's C encoder beats a join of str() on all but the shortest
+# sets. An information set is never empty.
+_INFO_SET = json.JSONEncoder(separators=(",\n      ", ": "))
+_CODE = '{{\n    "construction": {},\n    "info_set": [\n      {}\n    ],\n    "k": {},\n    "n": {}\n  }}'
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,9 +106,11 @@ class SpectrumReport:
                                    for c in self.columns)
         template = "    {{\n      " + fields + "\n    }}"
         entries = "[\n" + ",\n".join(starmap(template.format, rows)) + "\n  ]" if rows else "[]"
+        code = _CODE.format(encode_basestring_ascii(self.construction),
+                            _INFO_SET.encode(self.config.info_set)[1:-1], self.config.k, self.config.n)
         # "code" and "entries" sort before every metadata key
-        metadata = _canonical(self._metadata(), 0)[2:]  # without its opening "{\n"
-        return f'{{\n  "code": {_canonical(self.code, 1)},\n  "entries": {entries},\n{metadata}\n'
+        metadata = json.dumps(self._metadata(), sort_keys=True, indent=2)[2:]  # without "{\n"
+        return f'{{\n  "code": {code},\n  "entries": {entries},\n{metadata}\n'
 
     def to_csv(self) -> str:
         """Each CSV column holds the entry's value of that name, and
@@ -128,34 +138,6 @@ def _thawed(value):
     if isinstance(value, Mapping):
         return {k: _thawed(v) for k, v in value.items()}
     return list(map(_thawed, value)) if isinstance(value, tuple) else value
-
-
-_SCALARS = {str, int, float, bool, type(None)}
-
-
-def _canonical(obj, depth: int) -> str:
-    """The text of json.dumps(obj, sort_keys=True, indent=2) at ``depth``,
-    for objects whose nested dicts have string keys.
-
-    With an indent, json falls back to its pure-Python encoder. Without
-    one it takes the C path, so a container of scalars is encoded in one
-    call with ",\n" plus the item indent as separator; encoded strings
-    escape newlines, so every raw newline in its output is a separator.
-    """
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return json.dumps(obj)  # a scalar, [] or {}
-    is_dict = isinstance(obj, dict)
-    pad, inner = "  " * depth, "  " * (depth + 1)
-    if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
-        body = json.JSONEncoder(sort_keys=True, separators=(f",\n{inner}", ": ")).encode(obj)[1:-1]
-    elif is_dict:
-        body = f",\n{inner}".join(
-            f"{encode_basestring_ascii(k)}: {_canonical(v, depth + 1)}" for k, v in sorted(obj.items())
-        )
-    else:
-        body = f",\n{inner}".join(_canonical(v, depth + 1) for v in obj)
-    left, right = ("{", "}") if is_dict else ("[", "]")
-    return f"{left}\n{inner}{body}\n{pad}{right}"
 
 
 def _exact(num: int, exp: int, digits: int) -> tuple[int, str, str]:

@@ -122,8 +122,10 @@ MUTANTS = (
     Mutant("diagonal-one-column-late", "src/polarspec/pretransform.py", "return (1 << (i - 1)) | self.rows",
            "return (1 << i) | self.rows", "tests/test_acceptance.py::test_coset_invariance_under_transforms"),
     # serialization and exact rendering
-    Mutant("canonical-indent-at-depth-2", REPORT, '"  " * (depth + 1)', '"  " * (depth + 1 + (depth == 2))',
-           REPORT_TESTS),
+    Mutant("info-set-item-indent", REPORT, r'separators=(",\n      ", ": ")',
+           r'separators=(",\n     ", ": ")', REPORT_TESTS),
+    Mutant("metadata-unsorted", REPORT, "json.dumps(self._metadata(), sort_keys=True, indent=2)",
+           "json.dumps(self._metadata(), indent=2)", REPORT_TESTS),
     Mutant("exp2-quoted", REPORT, '_QUOTED = {"num", "value", "variance"}',
            '_QUOTED = {"num", "value", "variance", "exp2"}', REPORT_TESTS),
     Mutant("saturated-as-python-bool", REPORT, '"true" if r[at] else "false"', '"True" if r[at] else "false"',
@@ -132,8 +134,13 @@ MUTANTS = (
            "MappingProxyType(dict(value))", REPORT_TESTS),
     Mutant("lowest-terms-shift-short", DYADIC, "(num & -num).bit_length() - 1)",
            "(num & -num).bit_length() - 2)", "tests/test_dyadic.py"),
-    Mutant("half-even-tie-rounds-up", DYADIC, "if twice > (1 << exp) or (twice == (1 << exp) and q & 1):",
-           "if twice >= (1 << exp):", "tests/test_dyadic.py"),
+    Mutant("half-even-tie-rounds-up", DYADIC, "(q & 1 or scaled &", "(1 or scaled &", "tests/test_dyadic.py"),
+    Mutant("sticky-bit-ignored", DYADIC, "(q & 1 or scaled & ((1 << (exp - 1)) - 1))", "q & 1",
+           "tests/test_dyadic.py"),
+    Mutant("half-bit-one-high", DYADIC, "scaled >> (exp - 1) & 1", "scaled >> exp & 1",
+           "tests/test_dyadic.py"),
+    Mutant("digit-limit-error-raised", DYADIC, "    except ValueError:\n        pass",
+           "    except ValueError:\n        raise", "tests/test_dyadic.py"),
     # numpy's code runs only once a route that uses it starts, a numpy
     # imported before is shared, and a missing numpy still fails the import
     Mutant("numpy-eager", ORACLE, 'np = _lazy_module("numpy")', "import numpy as np", COLD_START_TESTS),
@@ -164,11 +171,15 @@ MUTANTS = (
            REPORT_TESTS),
     Mutant("verify-dmax-unchecked", CLI, "if args.verify and dmax != config.n:", "if False:", REPORT_TESTS),
     Mutant("dmax-range-unchecked", CLI, "if not 1 <= dmax <= config.n:", "if False:", REPORT_TESTS),
+    Mutant("command-parser-given-its-name", CLI, "commands[argv[0]].parse_known_args(argv[1:])",
+           "commands[argv[0]].parse_known_args(argv)", REPORT_TESTS),
     # construction: the PW key, RM's tie order, and what a config or a file may hold
     Mutant("pw-score-base-2", CONSTRUCT, "term = math.isqrt(math.isqrt(1 << (j + 4 * p)))",
            "term = 1 << (j + p)", CONSTRUCT_TESTS),
     Mutant("rm-ties-in-reverse-pw-order", CONSTRUCT, "sorted(_pw_rank(m), key=",
            "sorted(_pw_rank(m)[::-1], key=", CONSTRUCT_TESTS),
+    Mutant("caller-config-unchecked", CONSTRUCT, "_ranked: InitVar[bool] = False",
+           "_ranked: InitVar[bool] = True", CONSTRUCT_TESTS),
     Mutant("config-accepts-repeats", CONSTRUCT, "all(map(lt, info, info[1:]))",
            "all(map(lambda a, b: a <= b, info, info[1:]))", CONSTRUCT_TESTS),
     # numpy integers must become Python ints, and floats be refused, at construction

@@ -44,6 +44,15 @@ class TestCodeConfig:
         with pytest.raises(TypeError):
             CodeConfig(m, info)
 
+    @pytest.mark.parametrize("build", [construct_pw, construct_rm])
+    @pytest.mark.parametrize("n, k", [(2, 1), (8, 8), (64, 22), (1024, 512), (4096, 2048)])
+    def test_constructed_configs_equal_checked_ones(self, build, n, k):
+        # the constructors skip the checks a caller's config goes through
+        cfg = build(n, k)
+        assert cfg == CodeConfig(cfg.m, cfg.info_set) and hash(cfg) == hash(CodeConfig(cfg.m, cfg.info_set))
+        assert {type(x) for x in (cfg.m, *cfg.info_set)} == {int} and type(cfg.info_set) is tuple
+        assert cfg.n == n and cfg.k == len(set(cfg.info_set)) == k
+
 
 class TestRM:
     def test_full_code(self):

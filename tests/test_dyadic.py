@@ -155,6 +155,17 @@ def _decimal_cases(draw):
 
 
 @given(_decimal_cases())
+@example((7, 0, 0))  # exp 0: no rounding
+@example((7, 0, 3))
+@example((3, 1, 0))  # exp 1: 1.5, a tie with an odd quotient, rounds up
+@example((5, 1, 0))  # 2.5, a tie with an even quotient, rounds down
+@example((5 << 9, 10, 0))  # the same ties with every bit below the half bit clear
+@example((7 << 9, 10, 0))
+@example((5 << 9 | 1 << 8, 10, 0))  # 2.75: the sticky bit just below the half bit
+@example((5 << 9 | 1, 10, 0))  # and the lowest one
+@example((4 << 9 | 1 << 8, 10, 0))  # 2.25: no half bit, a sticky bit below it
+@example((1, 2, 1))  # 2.5 tenths: a tie after the scaling by 10
+@example((3, 2, 1))  # 7.5 tenths
 def test_decimal_matches_a_fraction_reference(case):
     num, exp, digits = case
     # round() on a Fraction rounds half to even

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from collections import OrderedDict
@@ -19,7 +20,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import polarspec
-from polarspec.cli import main
+from polarspec.cli import _build_parser, main
 from polarspec.construct import CodeConfig, construct_pw, construct_rm, load_info_set
 from polarspec.oracle import (
     WeightHistogram,
@@ -576,6 +577,44 @@ def test_refused_argv_exits_with_its_code_and_message(capsys, in_tmp, argv, code
     out, err = capsys.readouterr()
     assert (rc, out) == (code, "")
     assert message in err
+
+
+# what the commandless and help argv print, recorded before main parsed a
+# command with that command's own parser, on the interpreters named
+DISPATCH = json.loads((GOLDEN / "dispatch.json").read_text())
+# argv the pins leave out, on which main must still print what the
+# top-level parser prints
+_DISPATCH_MORE = {
+    "command-help-long": ["ensemble", "--help"],
+    "after-double-dash": "avg-spectrum --n 8 --k 4 --construction pw -- x".split(),
+    "flag-value-missing": "exact-spectrum --n 8 --k 4 --construction".split(),
+    "double-dash-first": "-- avg-spectrum --n 8 --k 4 --construction pw".split(),
+}
+
+
+def _exit(capsys, call, argv: list[str]) -> tuple:
+    """(exit code, stdout, stderr) of a call that parses argv and exits."""
+    with pytest.raises(SystemExit) as exc:
+        call(argv)
+    return exc.value.code, *capsys.readouterr()
+
+
+def _top_level(argv: list[str]) -> None:
+    """main's parse with every argv through the top-level parser."""
+    args, unknown = _build_parser()[0].parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+
+
+@pytest.mark.parametrize("argv", [*(p["argv"] for p in DISPATCH["pins"].values()), *_DISPATCH_MORE.values()],
+                         ids=[*DISPATCH["pins"], *_DISPATCH_MORE])
+def test_dispatch_prints_what_the_top_level_parser_prints(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to it
+    got = _exit(capsys, main, argv)
+    assert got == _exit(capsys, _top_level, argv)
+    pin = next((p for p in DISPATCH["pins"].values() if p["argv"] == argv), None)
+    if pin and platform.python_version() in DISPATCH["recorded_on"]:
+        assert got == (pin["code"], pin["stdout"], pin["stderr"])
 
 
 class TestAvgSpectrumCommand:
