@@ -14,16 +14,24 @@ one (N>>d, S) array each, a column per stored path copy, plus a map from
 the current paths to those columns (None for the identity). An
 information decision only composes the maps with the survivors' parents;
 a depth is gathered when the f/g step or the fold reads it, and every
-write makes a fresh array. The pending dynamic-frozen values are
-bit-packed uint64 words, a column per path, gathered at each decision;
-the word behind position t is never read again and is dropped at each
-64-step boundary. The 2P candidate metrics of a decision are one array,
-candidate 2p+bit extending path p, and survivors are selected by
-counting metrics, not by sorting. scl_decode derives u (codeword * F_N,
-a butterfly) and the message (forward substitution through T) after
-decoding, for all paths at once, and hands u, the message and the
-codeword back as packed ints (bit j-1 is position j, as in kernel); the
-paths come out in lexicographic order of u_1..u_N.
+write makes a fresh array. Every depth's LLR type provably holds it:
+|llr| <= 2^d at depth d, so depths 0..6 (0 is the channel) are int8 and
+deeper ones int16, or int32 from m = 15 (see _llr_types), and the first
+wider depth casts its parent's LLRs. The pending dynamic-frozen values
+are bit-packed uint64 words, a column per path, gathered at each
+decision; the word behind position t is never read again and is dropped
+at each 64-step boundary, and the whole array once the last frozen
+position is past. A pending value is read only where it is used: at a
+frozen step, and at a decision whose T row has entries, from the
+survivor's gathered column. The 2P candidate metrics of a decision are
+one array in the leaf's LLR type, candidate 2p+bit extending path p: a
+metric only grows along a path and ends at a codeword weight, so it is
+at most N. Survivors are selected from the sorted values. scl_decode
+derives u (codeword * F_N, a butterfly) and the message (forward
+substitution through T) after decoding, for all paths at once, and
+hands u, the message and the codeword back as packed ints (bit j-1 is
+position j, as in kernel); the paths come out in lexicographic order of
+u_1..u_N.
 """
 
 from __future__ import annotations
@@ -72,28 +80,40 @@ def _minsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _select(cand: np.ndarray, list_size: int) -> tuple[np.ndarray, int]:
-    """Keep the list_size smallest candidates by counting, not sorting.
+    """Keep the list_size smallest candidates, read from their sorted values.
 
     Returns the kept indices in ascending order, the same set a stable
-    argsort keeps: every candidate below the threshold metric plus the
-    first ties in index order. The second value is the smallest metric
-    discarded. Needs len(cand) > list_size and non-negative integers.
+    argsort keeps: every candidate below the threshold metric (the
+    list_size-th smallest) plus the first ties in index order. The second
+    value, a Python int, is the smallest metric discarded. Only values are
+    sorted, so any sort algorithm gives the same array, and any integer
+    type works, negative values included. Needs len(cand) > list_size.
     """
-    counts = np.bincount(cand)
-    cum = np.cumsum(counts)
-    thr = int(np.searchsorted(cum, list_size))  # first metric reaching list_size
-    need = list_size - (int(cum[thr - 1]) if thr else 0)
-    keep = cand < thr
-    keep[np.flatnonzero(cand == thr)[:need]] = True
-    if need < counts[thr]:
-        return np.flatnonzero(keep), thr
-    return np.flatnonzero(keep), thr + 1 + int(np.flatnonzero(counts[thr + 1 :])[0])
+    ranked = np.sort(cand)
+    thr = ranked[list_size - 1]
+    keep = cand <= thr
+    extra = int(np.searchsorted(ranked, thr, "right")) - list_size  # ties past the list
+    if extra:
+        keep[np.flatnonzero(cand == thr)[-extra:]] = False
+    return np.flatnonzero(keep), int(ranked[list_size])
+
+
+def _llr_types(m: int) -> list:
+    """The LLR type of each depth 0..m, depth 0 being the channel.
+
+    The channel LLR is +1, the f-step never grows a magnitude and the
+    g-step gives |b +- a| <= |a| + |b|, so |llr| <= 2^d at depth d: int8
+    holds depths 0..6. Deeper depths share one type, int16 or, from
+    m = 15, int32, which also holds a path metric (at most N = 2^m).
+    """
+    wide = np.int16 if m < 15 else np.int32
+    return [np.int8 if d <= 6 else wide for d in range(m + 1)]
 
 
 def _gathered(arrays: list, maps: list, d: int) -> np.ndarray:
     # copy depth d's columns to the current paths on first read
     if maps[d] is not None:
-        arrays[d] = np.take(arrays[d], maps[d], axis=1)
+        arrays[d] = arrays[d].take(maps[d], axis=1)
         maps[d] = None
     return arrays[d]
 
@@ -104,18 +124,20 @@ def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
     m, n = config.m, config.n
     _check_code_transform(config, transform)
     info = set(config.info_set)
+    # no step after the last frozen position reads a pending value
+    last_frozen = max(config.frozen_set, default=0)
     words = _wordcount(n)
     # row i reaches only columns j > i, so it is stored from word (i-1)>>6
-    # on: the word that holds the pending values at decision i
+    # on: the word that holds the pending values at decision i. A row after
+    # the last frozen position is never applied
     trow = {
         i: _to_words(transform.rows[i], words)[(i - 1) >> 6 :, None]
         for i in config.info_set
-        if transform.rows.get(i, 0)
+        if i < last_frozen and transform.rows.get(i, 0)
     }
 
-    # an LLR at depth d has magnitude at most 2^d <= N
-    dtype = np.int16 if m < 15 else np.int32
-    chan = np.ones((n, 1), dtype=dtype)
+    types = _llr_types(m)
+    chan = np.ones((n, 1), dtype=types[0])
     # depth d = 1..m: (N>>d, S) arrays, a column per stored path copy, and
     # a map from the current paths to the columns (None for the identity);
     # a decision composes the maps, a read gathers the columns. Each depth
@@ -125,9 +147,10 @@ def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
     llr_map = [None] * (m + 1)
     left_map = [None] * (m + 1)
     # pending dynamic-frozen values, packed: (words, P), row 0 holding the
-    # word of position t+1; the word behind it is dropped at each boundary
+    # word of position t+1; the word behind it is dropped at each boundary,
+    # and the whole array after the last frozen position
     acc = np.zeros((words, 1), dtype=np.uint64)
-    metric = np.zeros(1, dtype=np.int64)
+    metric = np.zeros(1, dtype=types[m])
     prune_bound = math.inf
     codewords = None
 
@@ -137,23 +160,26 @@ def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
         for d in range(start, m + 1):
             half = n >> d
             src = chan if d == 1 else _gathered(llr, llr_map, d - 1)
+            if types[d] is not types[d - 1]:  # a wider type casts its source
+                src = src.astype(types[d])
             a, b = src[:half], src[half:]
             if t >> (m - d) & 1:
-                sgn = 1 - 2 * _gathered(left, left_map, d).astype(dtype)
+                sgn = 1 - 2 * _gathered(left, left_map, d).astype(types[d])
                 llr[d] = sgn * a + b
             else:
                 llr[d] = _minsum(a, b)
             llr_map[d] = None
         dec_llr = llr[m][0]
-        if t and not t & 63:
+        if t + 1 > last_frozen:
+            acc = None
+        elif t and not t & 63:
             acc = acc[1:]
-        pending = (acc[0] >> (t & 63) & 1).astype(np.uint8)
 
         if t + 1 in info:
             # candidate 2p+bit costs metric[p] plus |llr| of path p when bit
             # disagrees with the sign of that llr; a zero llr costs neither
             # bit anything. The id keeps lexicographic order among ties
-            cand = np.empty(2 * len(metric), dtype=np.int64)
+            cand = np.empty(2 * len(metric), dtype=metric.dtype)
             cand[0::2] = metric + np.maximum(-dec_llr, 0)
             cand[1::2] = metric + np.maximum(dec_llr, 0)
             if len(cand) <= list_size:
@@ -167,15 +193,17 @@ def _decode_arrays(config: CodeConfig, transform: PreTransform, list_size: int):
             # maps set at one decision are one object: compose each once
             # (`unique` keeps the old maps alive, so their ids stay distinct)
             unique = {id(x): x for x in llr_map + left_map if x is not None}
-            composed = {key: np.take(x, parent) for key, x in unique.items()}
+            composed = {key: x.take(parent) for key, x in unique.items()}
             for maps in (llr_map, left_map):
                 maps[1:] = [parent if x is None else composed[id(x)] for x in maps[1:]]
-            acc = np.take(acc, parent, axis=1)
-            if t + 1 in trow:
-                flip = (bit ^ np.take(pending, parent)).astype(np.uint64)
-                acc ^= trow[t + 1] * flip
+            if acc is not None:
+                acc = acc.take(parent, axis=1)
+                if t + 1 in trow:
+                    # the message bit: u's bit XOR the pending value, read
+                    # from the survivor's gathered column
+                    acc ^= trow[t + 1] * (bit ^ acc[0] >> (t & 63) & 1)
         else:
-            bit = pending
+            bit = (acc[0] >> (t & 63) & 1).astype(np.uint8)
             metric = metric + np.maximum(np.where(bit, dec_llr, -dec_llr), 0)
 
         # fold the decided bit upward while it closes a right child

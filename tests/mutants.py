@@ -102,14 +102,21 @@ MUTANTS = (
     Mutant("full-list-flags-weight-n", SCL,
            "counts[0] = 0\n    sat = tuple(d >= prune_bound for",
            "counts[0] = counts[n] = 0\n    sat = tuple(d >= prune_bound or d == n for"),
-    Mutant("prune-bound-one-high", SCL, "return np.flatnonzero(keep), thr\n",
-           "return np.flatnonzero(keep), thr + 1\n"),
-    Mutant("select-bound-at-full-tie", SCL, "if need < counts[thr]:", "if need <= counts[thr]:",
+    Mutant("prune-bound-one-high", SCL, "int(ranked[list_size])", "int(ranked[list_size - 1])",
+           "tests/test_scl.py"),
+    Mutant("select-bound-at-full-tie", SCL, '"right")) - list_size', '"right")) - list_size - 1',
            "tests/test_scl.py"),
     Mutant("messages-skip-next", SCL, "range(p + 1, len(info))", "range(p + 2, len(info))",
            "tests/test_scl.py"),
-    Mutant("select-keeps-last-ties", SCL, "(cand == thr)[:need]", "(cand == thr)[::-1][:need]",
+    Mutant("select-keeps-last-ties", SCL, "(cand == thr)[-extra:]", "(cand == thr)[:extra]",
            "tests/test_scl.py::test_pruned_regime_is_pinned"),
+    # the decoder's narrow types and its pending values: an int8 depth 7
+    # wraps the all-zero path's leaf LLR of 128 at N = 128
+    Mutant("depth-7-int8", SCL, "np.int8 if d <= 6 else wide", "np.int8 if d <= 7 else wide",
+           "tests/test_scl.py::test_pruned_regime_is_pinned"),
+    Mutant("acc-dropped-at-last-frozen", SCL, "if t + 1 > last_frozen:", "if t + 1 >= last_frozen:"),
+    Mutant("pending-gathered-twice", SCL, "(bit ^ acc[0] >> (t & 63) & 1)",
+           "(bit ^ np.take(acc[0] >> (t & 63) & 1, parent))"),
     # verify_average's odd-weight check: d = 1 is also below every minimum
     # weight without row 1, so verify still fails, one problem short
     Mutant("verify-odd-skips-d1", SPECTRUM, "odd = range(1, n + 1, 2)", "odd = range(3, n + 1, 2)",

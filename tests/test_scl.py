@@ -20,6 +20,7 @@ from polarspec.pretransform import (
 from polarspec.scl import (
     _inverse_transform,
     _messages,
+    _llr_types,
     _pack,
     _select,
     collect_low_weight,
@@ -33,27 +34,52 @@ FULL = os.environ.get("POLARSPEC_ACCEPT_FULL", "") == "1"
 
 @st.composite
 def _candidates(draw):
-    # 2P candidate metrics with heavy ties and gaps, and a list size that
+    # 2P candidate metrics with heavy ties and gaps, negative ones too, in
+    # any integer type the decoder may hand over, and a list size that
     # forces a prune: 1 <= L <= 2P - 1
     paths = draw(st.integers(1, 40))
-    cand = draw(st.lists(st.integers(0, 9), min_size=2 * paths, max_size=2 * paths))
+    cand = draw(st.lists(st.integers(-3, 9), min_size=2 * paths, max_size=2 * paths))
     list_size = draw(st.integers(1, 2 * paths - 1) | st.just(2 * paths - 1))
-    return cand, list_size
+    dtype = draw(st.sampled_from([np.int16, np.int32, np.int64]))
+    return cand, list_size, dtype
 
 
 @given(_candidates())
-@example(([0, 0, 1, 1, 3, 3], 4))  # threshold 1 taken whole: bound is 3
-@example(([2, 2, 2, 2, 2, 2], 5))  # L = 2P - 1, one tie dropped: bound is 2
-@example(([5, 0, 7, 0, 0, 9], 3))  # all zeros kept: bound is 5
-@example(([4, 1], 1))
+@example(([0, 0, 1, 1, 3, 3], 4, np.int16))  # threshold 1 taken whole: bound is 3
+@example(([2, 2, 2, 2, 2, 2], 5, np.int16))  # L = 2P - 1, one tie dropped: bound is 2
+@example(([5, 0, 7, 0, 0, 9], 3, np.int32))  # all zeros kept: bound is 5
+@example(([4, 1], 1, np.int64))
 def test_select_matches_stable_argsort(case):
-    cand, list_size = case
-    cand = np.array(cand, dtype=np.int64)
+    cand, list_size, dtype = case
+    cand = np.array(cand, dtype=dtype)
     keep, bound = _select(cand, list_size)
     order = np.argsort(cand, kind="stable")
     assert keep.tolist() == sorted(order[:list_size].tolist())
     assert bound == int(cand[order[list_size:]].min())
     assert type(bound) is int
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_llr_types_hold_every_depth(m):
+    # |llr| <= 2^d at depth d, and a metric, in the leaf's type, reaches
+    # N = 2^m; a type never narrows with depth, so a depth casts its
+    # parent's LLRs only where it widens. No decode runs here
+    types = _llr_types(m)
+    assert len(types) == m + 1
+    assert all(np.iinfo(t).max >= 1 << d for d, t in enumerate(types))
+    assert all(np.iinfo(a).bits <= np.iinfo(b).bits for a, b in zip(types, types[1:]))
+    assert types[: min(m, 6) + 1] == [np.int8] * (min(m, 6) + 1)
+
+
+def test_narrow_arithmetic_keeps_its_type():
+    # the decoder's update rules under NEP 50 promotion (numpy >= 2.0): a
+    # Python int never widens an array, and mixed widths take the wider
+    bits = np.array([0, 1], dtype=np.uint8)
+    assert (1 - 2 * bits.astype(np.int8)).dtype == np.int8
+    assert np.maximum(-np.ones(2, np.int8), 0).dtype == np.int8
+    assert (np.ones(2, np.int16) + np.ones(2, np.int8)).dtype == np.int16
+    assert (bits ^ np.ones(2, np.uint64) >> 3 & 1).dtype == np.uint64
+    assert np.sort(np.array([3, -1, 2], dtype=np.int16)).tolist() == [-1, 2, 3]
 
 
 class TestSclDecode:
@@ -85,9 +111,10 @@ class TestSclDecode:
             p.metric = 0
 
     def test_metric_equals_weight(self):
-        cfg = construct_pw(16, 7)
-        paths, _ = scl_decode(cfg, random_transform(cfg, 1), 50)
-        assert all(p.metric == p.weight for p in paths)
+        # a Python int, whatever narrow type the decoder summed it in
+        for cfg in (construct_pw(16, 7), construct_pw(128, 64)):
+            paths, _ = scl_decode(cfg, random_transform(cfg, 1), 50)
+            assert all(p.metric == p.weight and type(p.metric) is int for p in paths)
 
     def test_metric_weight_mismatch_raises(self, monkeypatch):
         # an explicit check, not an assert that python -O would strip
